@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--obs] [--trace-dir DIR] [--journal-dir DIR]
-//!       [--serve ADDR] [--json PATH] [--seed N] [--shards N]
-//!       [--shard-threads T] [id...]
+//!       [--serve ADDR] [--json PATH] [--seed N] [id...]
 //! repro --list                list experiment ids
 //! repro replay JOURNAL        reconstruct a run's artifacts from its journal
 //! repro resume JOURNAL        complete a truncated journal, verified
@@ -45,8 +44,7 @@ struct Cli {
 }
 
 const USAGE: &str = "usage: repro [--quick] [--obs] [--trace-dir DIR] \
-     [--journal-dir DIR] [--serve ADDR] [--json PATH] [--seed N] \
-     [--shards N] [--shard-threads T] [id...] \
+     [--journal-dir DIR] [--serve ADDR] [--json PATH] [--seed N] [id...] \
      | repro replay JOURNAL | repro resume JOURNAL";
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -83,28 +81,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 let s = it.next().ok_or("--seed requires a u64")?;
                 cli.opts.seed = Some(s.parse().map_err(|_| format!("bad seed {s}"))?);
             }
-            "--shards" => {
-                let s = it.next().ok_or("--shards requires a count >= 1")?;
-                let k: usize = s.parse().map_err(|_| format!("bad shard count {s}"))?;
-                if k == 0 {
-                    return Err("--shards requires a count >= 1".into());
-                }
-                cli.opts.shards = Some(k);
-            }
-            "--shard-threads" => {
-                let s = it.next().ok_or("--shard-threads requires a count >= 1")?;
-                let t: usize = s.parse().map_err(|_| format!("bad thread count {s}"))?;
-                if t == 0 {
-                    return Err("--shard-threads requires a count >= 1".into());
-                }
-                cli.opts.shard_threads = Some(t);
-            }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             id => cli.ids.push(id.to_string()),
         }
-    }
-    if cli.opts.shard_threads.is_some() && cli.opts.shards.is_none() {
-        return Err("--shard-threads requires --shards".into());
     }
     Ok(cli)
 }
@@ -321,36 +300,13 @@ fn main() {
         tt.threads,
         tt.bit_identical
     );
-    // Event-engine scaling: serial vs sharded dispatch rate on the chaos
-    // point, with the bit-identity contract verified on the same runs, plus
-    // the scaled-topology thread curve (64/256 servers).
+    // Event-engine serving rate on the chaos point across cluster sizes.
     let et = experiments::engine_throughput::engine_throughput(cli.opts.quick);
-    println!(
-        "engine throughput: {:.0} events/s serial, {:.0} events/s at 4 shards \
-         ({:.2}x, {} thread(s), bit-identical vs serial: {})",
-        et.serial_events_per_s,
-        et.events_per_s[et.shard_counts.iter().position(|&k| k == 4).unwrap_or(0)],
-        et.speedup_4,
-        et.threads,
-        et.bit_identical_vs_serial
-    );
-    println!(
-        "engine epochs: {} drains serving {} windows ({:.0} events/epoch, \
-         mean adaptive width {:.1} ms)",
-        et.epochs_4, et.windows_4, et.events_per_epoch_4, et.mean_width_ms_4
-    );
-    for p in &et.scaled {
-        let best = p.speedup_by_threads.iter().fold(f64::NAN, |a, &b| a.max(b));
+    for p in &et.points {
         println!(
-            "engine scaling: {} servers, {} events, {:.0} events/s serial, \
-             best threaded speedup {best:.2}x, {:.0} events/epoch, \
-             t4 barrier-wait share {:.3}, bit-identical vs serial: {}",
-            p.servers,
-            p.events,
-            p.serial_events_per_s,
-            p.events_per_epoch,
-            p.barrier_wait_share_t4,
-            p.bit_identical_vs_serial
+            "engine throughput: {} servers, {} requests, {} events, {:.0} requests/s, \
+             {:.0} events/s",
+            p.servers, p.completions, p.events, p.requests_per_s, p.events_per_s
         );
     }
     // Journal economics on the full-length chaos point: write overhead of
@@ -393,56 +349,26 @@ fn main() {
                 .field("threads", tt.threads)
                 .field("bit_identical", tt.bit_identical),
         )
-        .field("engine_throughput", {
-            let mut section = Json::obj()
-                .field("events", et.events)
-                .field("completions", et.completions)
-                .field("events_per_s_serial", et.serial_events_per_s)
-                .field("requests_per_s", et.requests_per_s)
-                .field("speedup_4", et.speedup_4)
-                .field("bit_identical_vs_serial", et.bit_identical_vs_serial)
-                .field("epochs_4", et.epochs_4)
-                .field("windows_4", et.windows_4)
-                .field("events_per_epoch_4", et.events_per_epoch_4)
-                .field("mean_width_ms_4", et.mean_width_ms_4)
-                .field(
-                    "width_hist_4",
-                    Json::Arr(et.width_hist_4.iter().map(|&n| Json::from(n)).collect()),
-                )
-                .field("crossed_4", et.crossed_4)
-                .field("threads", et.threads)
-                .field("threaded_speedup_4", et.threaded_speedup_4);
-            for (k, eps) in et.shard_counts.iter().zip(&et.events_per_s) {
-                section = section.field(&format!("events_per_s_{k}"), *eps);
-            }
-            // Threads-dimension scaling curve on the grown topologies: one
-            // field group per cluster size, one speedup and one pinned
-            // event count per thread count.
-            for p in &et.scaled {
-                let n = p.servers;
-                section = section
-                    .field(&format!("events_{n}srv"), p.events)
-                    .field(
-                        &format!("events_per_s_{n}srv_serial"),
-                        p.serial_events_per_s,
-                    )
-                    .field(&format!("events_per_epoch_{n}srv"), p.events_per_epoch)
-                    .field(
-                        &format!("barrier_wait_share_{n}srv_t4"),
-                        p.barrier_wait_share_t4,
-                    )
-                    .field(&format!("bit_identical_{n}srv"), p.bit_identical_vs_serial);
-                let curve = experiments::engine_throughput::THREAD_COUNTS
-                    .iter()
-                    .zip(p.speedup_by_threads.iter().zip(&p.events_by_threads));
-                for (t, (s, ev)) in curve {
-                    section = section
-                        .field(&format!("speedup_{n}srv_t{t}"), *s)
-                        .field(&format!("events_{n}srv_t{t}"), *ev);
-                }
-            }
-            section
-        })
+        .field(
+            "engine_throughput",
+            Json::obj().field(
+                "topologies",
+                Json::Arr(
+                    et.points
+                        .iter()
+                        .map(|p| {
+                            Json::obj()
+                                .field("servers", p.servers)
+                                .field("events", p.events)
+                                .field("completions", p.completions)
+                                .field("wall_s", p.wall_s)
+                                .field("events_per_s", p.events_per_s)
+                                .field("requests_per_s", p.requests_per_s)
+                        })
+                        .collect(),
+                ),
+            ),
+        )
         .field(
             "journal_replay",
             Json::obj()

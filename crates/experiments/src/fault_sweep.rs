@@ -26,7 +26,7 @@ use platform::scale::PlacementDecision;
 use platform::{ArrivalSpec, Deployment, PlatformConfig, ResilienceConfig, Simulation};
 use simcore::rng::seed_stream;
 use simcore::table::{fnum, fpct, TextTable};
-use simcore::{BarrierStats, SimTime, SyncProfile};
+use simcore::SimTime;
 use workloads::loadgen::uniform_arrivals;
 
 /// Default chaos seed (override with `repro fault_sweep --seed N`).
@@ -49,12 +49,6 @@ pub struct ChaosOutcome {
     pub faults: FaultLog,
     /// Simulation events dispatched over the run.
     pub events_processed: u64,
-    /// Barrier protocol counters (`None` for serial-engine runs).
-    pub barrier: Option<BarrierStats>,
-    /// Wall-clock rendezvous profile (`None` for serial-engine runs;
-    /// all-zero on the single-threaded shard backing). Measurement, not
-    /// simulation state — never part of the byte-identity contract.
-    pub sync: Option<SyncProfile>,
 }
 
 /// Fault configuration for one sweep point: crash and slowdown rates are
@@ -104,39 +98,19 @@ pub fn chaos_run_with_obs(
     quick: bool,
     bundle: obs::Obs,
 ) -> (ChaosOutcome, obs::Obs) {
-    chaos_run_sharded(point, seed, quick, bundle, None)
+    chaos_run_scaled(point, seed, quick, bundle, 1)
 }
 
-/// [`chaos_run_with_obs`] on an explicit engine: `shards = None` runs the
-/// serial event loop, `Some(k)` the k-shard engine. The determinism
-/// contract makes the choice unobservable in every output — report, fault
-/// log, telemetry, and journal bytes are bit-identical across all of them
-/// (enforced by `tests/engine_shard_equiv.rs`).
-pub fn chaos_run_sharded(
-    point: SweepPoint,
-    seed: u64,
-    quick: bool,
-    bundle: obs::Obs,
-    shards: Option<usize>,
-) -> (ChaosOutcome, obs::Obs) {
-    chaos_run_scaled(point, seed, quick, bundle, shards, 1, 1)
-}
-
-/// The fully-parameterised chaos run behind every entry point above:
-/// engine selection (`shards`, `shard_threads`), plus a topology `scale`
-/// that multiplies the paper's 8-node testbed and its workload mix
-/// proportionally — `scale` 8 is a 64-server cluster fed 8× the request
-/// rate and 8× the background-job cadence, so per-server load (and thus
-/// the scheduling regime) matches the base point. The engine choice is
-/// unobservable in every output at any scale; `scale` itself of course
-/// changes the simulated system.
+/// [`chaos_run_with_obs`] on a topology `scale` that multiplies the paper's
+/// 8-node testbed and its workload mix proportionally — `scale` 8 is a
+/// 64-server cluster fed 8× the request rate and 8× the background-job
+/// cadence, so per-server load (and thus the scheduling regime) matches
+/// the base point.
 pub fn chaos_run_scaled(
     point: SweepPoint,
     seed: u64,
     quick: bool,
     bundle: obs::Obs,
-    shards: Option<usize>,
-    shard_threads: usize,
     scale: usize,
 ) -> (ChaosOutcome, obs::Obs) {
     assert!(scale >= 1, "need at least the base topology");
@@ -147,10 +121,6 @@ pub fn chaos_run_scaled(
             cluster::ClusterConfig::homogeneous(8 * scale, cluster::ServerSpec::paper_node());
     }
     let mut sim = Simulation::new(config);
-    if let Some(k) = shards {
-        sim.set_shards(k);
-        sim.set_shard_threads(shard_threads);
-    }
     sim.set_obs(bundle);
     let n = sim.servers().len();
 
@@ -218,15 +188,11 @@ pub fn chaos_run_scaled(
     let mut bundle = sim.take_obs();
     let faults = bundle.faults.take().unwrap_or_default();
     let events_processed = sim.events_processed();
-    let barrier = sim.barrier_stats();
-    let sync = sim.sync_profile();
     (
         ChaosOutcome {
             report: sim.into_report(),
             faults,
             events_processed,
-            barrier,
-            sync,
         },
         bundle,
     )
@@ -367,15 +333,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
                 bundle = std::mem::take(&mut bundle).with_journal(Box::new(j));
                 path
             });
-        let (out, post) = chaos_run_scaled(
-            point,
-            seed,
-            opts.quick,
-            bundle,
-            opts.shards,
-            opts.shard_threads.unwrap_or(1),
-            1,
-        );
+        let (out, post) = chaos_run_with_obs(point, seed, opts.quick, bundle);
         if let Some(path) = journal_path {
             result.note(format!("journal -> {}", path.display()));
             // Live-run artifacts next to the journal, so `repro replay` can

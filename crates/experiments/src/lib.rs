@@ -21,7 +21,7 @@
 //! | [`fig14`] | Fig. 14 online overhead & gateway scalability |
 //! | [`ablation`] | design-choice ablations (extension, not a paper figure) |
 //! | [`fault_sweep`] | chaos sweep: availability & p99 under seeded fault injection (extension) |
-//! | [`engine_throughput`] | sharded event-engine scaling & serial equivalence (extension) |
+//! | [`engine_throughput`] | serial event-engine serving rate across cluster sizes (extension) |
 
 pub mod ablation;
 pub mod corpus;

@@ -29,15 +29,6 @@ pub struct RunOpts {
     /// Live Prometheus hub (`repro --serve ADDR`): journal-enabled
     /// experiments publish telemetry snapshots here at every collect tick.
     pub prom: Option<std::sync::Arc<obs::prom::PromHub>>,
-    /// Run shard-aware experiments on the k-shard engine (`repro --shards
-    /// N`); `None` = the serial engine. Outputs are bit-identical either
-    /// way — this only selects the event-loop implementation.
-    pub shards: Option<usize>,
-    /// Worker threads for sharded epoch execution (`repro --shard-threads
-    /// T`); `None` = 1, the single-threaded reference path. Requires
-    /// `shards`; clamped to the shard count. Outputs stay bit-identical —
-    /// this only trades wall-clock for cores.
-    pub shard_threads: Option<usize>,
 }
 
 impl RunOpts {
@@ -254,7 +245,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         },
         Experiment {
             id: "engine_throughput",
-            title: "sharded event-engine throughput & serial equivalence (extension)",
+            title: "serial event-engine serving rate across cluster sizes (extension)",
             run: crate::engine_throughput::run,
         },
     ]

@@ -35,7 +35,7 @@ pub use audit::{AuditLog, CandidateEval, DecisionRecord};
 pub use faultlog::{FaultLog, FaultRecord};
 pub use journal::{JournalEvent, JournalSink, JournalStats};
 pub use profile::WallProfiler;
-pub use prom::{EngineSnapshot, PromHub};
+pub use prom::PromHub;
 pub use telemetry::Telemetry;
 pub use trace::{MemorySink, NullSink, SpanRecord, TraceSink, Track};
 

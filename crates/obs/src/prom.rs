@@ -54,114 +54,8 @@ fn sample(x: f64) -> String {
     }
 }
 
-/// Epoch-efficiency snapshot of the sharded engine, published *alongside*
-/// the telemetry registry rather than through it. Barrier counts differ
-/// across shard counts and rendezvous timings across thread counts, while
-/// the telemetry JSONL is compared byte-for-byte across both — so this
-/// block must never enter the registry.
-///
-/// Plain integers only (no simcore types): `obs` stays std-only.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EngineSnapshot {
-    /// Drain epochs opened (each is one worker rendezvous when threaded).
-    pub epochs: u64,
-    /// Delivery windows served; adaptive lookahead batches several per epoch.
-    pub windows: u64,
-    /// Events delivered through windows.
-    pub delivered: u64,
-    /// Coordinator/worker command rounds (0 on the serial backing).
-    pub rendezvous: u64,
-    /// Wall time spent inside rendezvous rounds, nanoseconds.
-    pub sync_wait_ns: u64,
-    /// Wall time since the sharded run started, nanoseconds.
-    pub wall_ns: u64,
-    /// Adaptive epoch-width histogram: bucket `i` counts widths of
-    /// `[2^i, 2^(i+1))` whole milliseconds (bucket 0 is `<= 1` ms, the last
-    /// bucket is open-ended).
-    pub width_hist_ms: Vec<u64>,
-    /// Sum of epoch widths in whole milliseconds.
-    pub width_sum_ms: u64,
-}
-
-impl EngineSnapshot {
-    /// Mean events delivered per drain epoch — the quantity the adaptive
-    /// lookahead exists to maximize.
-    pub fn events_per_epoch(&self) -> f64 {
-        if self.epochs == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / self.epochs as f64
-        }
-    }
-
-    /// Fraction of the run's wall time spent waiting on worker rendezvous.
-    pub fn barrier_wait_share(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.sync_wait_ns as f64 / self.wall_ns as f64
-        }
-    }
-}
-
-/// Append the engine block to a rendered exposition body.
-fn render_engine(out: &mut String, e: &EngineSnapshot) {
-    let _ = writeln!(out, "# TYPE {PREFIX}engine_epochs_total counter");
-    let _ = writeln!(out, "{PREFIX}engine_epochs_total {}", e.epochs);
-    let _ = writeln!(out, "# TYPE {PREFIX}engine_windows_total counter");
-    let _ = writeln!(out, "{PREFIX}engine_windows_total {}", e.windows);
-    let _ = writeln!(out, "# TYPE {PREFIX}engine_events_delivered_total counter");
-    let _ = writeln!(out, "{PREFIX}engine_events_delivered_total {}", e.delivered);
-    let _ = writeln!(out, "# TYPE {PREFIX}engine_rendezvous_total counter");
-    let _ = writeln!(out, "{PREFIX}engine_rendezvous_total {}", e.rendezvous);
-    let _ = writeln!(out, "# TYPE {PREFIX}engine_events_per_epoch gauge");
-    let _ = writeln!(
-        out,
-        "{PREFIX}engine_events_per_epoch {}",
-        sample(e.events_per_epoch())
-    );
-    let _ = writeln!(out, "# TYPE {PREFIX}engine_barrier_wait_share gauge");
-    let _ = writeln!(
-        out,
-        "{PREFIX}engine_barrier_wait_share {}",
-        sample(e.barrier_wait_share())
-    );
-    if !e.width_hist_ms.is_empty() {
-        // Widths are whole milliseconds, so `le = 2^(i+1) - 1` bounds bucket
-        // `i` exactly; the open-ended last bucket folds into `+Inf`.
-        let _ = writeln!(out, "# TYPE {PREFIX}engine_epoch_width_ms histogram");
-        let mut cumulative = 0u64;
-        let last = e.width_hist_ms.len() - 1;
-        for (i, n) in e.width_hist_ms[..last].iter().enumerate() {
-            cumulative += n;
-            let _ = writeln!(
-                out,
-                "{PREFIX}engine_epoch_width_ms_bucket{{le=\"{}\"}} {cumulative}",
-                (1u64 << (i + 1)) - 1
-            );
-        }
-        cumulative += e.width_hist_ms[last];
-        let _ = writeln!(
-            out,
-            "{PREFIX}engine_epoch_width_ms_bucket{{le=\"+Inf\"}} {cumulative}"
-        );
-        let _ = writeln!(out, "{PREFIX}engine_epoch_width_ms_sum {}", e.width_sum_ms);
-        let _ = writeln!(out, "{PREFIX}engine_epoch_width_ms_count {cumulative}");
-    }
-}
-
 /// Serialize the registry in Prometheus text exposition format 0.0.4.
 pub fn render(telemetry: &Telemetry, faults: Option<&FaultLog>) -> String {
-    render_with_engine(telemetry, faults, None)
-}
-
-/// [`render`], plus the sharded engine's epoch-efficiency block when the
-/// run has one (serial runs pass `None` and get identical output).
-pub fn render_with_engine(
-    telemetry: &Telemetry,
-    faults: Option<&FaultLog>,
-    engine: Option<&EngineSnapshot>,
-) -> String {
     let mut out = String::new();
     out.push_str("# HELP gsight_up 1 while the simulation exporter is live.\n");
     out.push_str("# TYPE gsight_up gauge\ngsight_up 1\n");
@@ -204,9 +98,6 @@ pub fn render_with_engine(
             }
         }
     }
-    if let Some(e) = engine {
-        render_engine(&mut out, e);
-    }
     out
 }
 
@@ -229,18 +120,7 @@ impl PromHub {
 
     /// Render and store a fresh snapshot.
     pub fn publish(&self, telemetry: &Telemetry, faults: Option<&FaultLog>) {
-        self.publish_with_engine(telemetry, faults, None);
-    }
-
-    /// [`PromHub::publish`], plus the engine epoch-efficiency block for
-    /// sharded runs.
-    pub fn publish_with_engine(
-        &self,
-        telemetry: &Telemetry,
-        faults: Option<&FaultLog>,
-        engine: Option<&EngineSnapshot>,
-    ) {
-        let body = render_with_engine(telemetry, faults, engine);
+        let body = render(telemetry, faults);
         *self.body.lock().expect("prom hub poisoned") = body;
         self.generation.fetch_add(1, Ordering::Relaxed);
     }
@@ -366,54 +246,6 @@ mod tests {
                 "malformed line: {line}"
             );
         }
-    }
-
-    #[test]
-    fn render_engine_block() {
-        let engine = EngineSnapshot {
-            epochs: 4,
-            windows: 20,
-            delivered: 400,
-            rendezvous: 5,
-            sync_wait_ns: 250,
-            wall_ns: 1_000,
-            // Two widths of 1 ms, one of 5 ms (bucket 2), one >= 32768 ms.
-            width_hist_ms: {
-                let mut h = vec![0u64; 16];
-                h[0] = 2;
-                h[2] = 1;
-                h[15] = 1;
-                h
-            },
-            width_sum_ms: 2 + 5 + 40_000,
-        };
-        assert_eq!(engine.events_per_epoch(), 100.0);
-        assert_eq!(engine.barrier_wait_share(), 0.25);
-        let text = render_with_engine(&registry(), None, Some(&engine));
-        assert!(text.contains("gsight_engine_epochs_total 4\n"));
-        assert!(text.contains("gsight_engine_windows_total 20\n"));
-        assert!(text.contains("gsight_engine_events_delivered_total 400\n"));
-        assert!(text.contains("gsight_engine_rendezvous_total 5\n"));
-        assert!(text.contains("gsight_engine_events_per_epoch 100\n"));
-        assert!(text.contains("gsight_engine_barrier_wait_share 0.25\n"));
-        // Cumulative le-buckets: <=1ms sees 2, <=7ms sees 3, +Inf sees all 4.
-        assert!(text.contains("gsight_engine_epoch_width_ms_bucket{le=\"1\"} 2\n"));
-        assert!(text.contains("gsight_engine_epoch_width_ms_bucket{le=\"7\"} 3\n"));
-        assert!(text.contains("gsight_engine_epoch_width_ms_bucket{le=\"+Inf\"} 4\n"));
-        assert!(text.contains("gsight_engine_epoch_width_ms_sum 40007\n"));
-        assert!(text.contains("gsight_engine_epoch_width_ms_count 4\n"));
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.split(' ').count() == 2,
-                "malformed line: {line}"
-            );
-        }
-        // Serial runs (no snapshot) keep the exact legacy body.
-        assert_eq!(
-            render(&registry(), None),
-            render_with_engine(&registry(), None, None)
-        );
-        assert!(!render(&registry(), None).contains("gsight_engine_"));
     }
 
     #[test]

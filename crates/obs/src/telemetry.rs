@@ -105,11 +105,11 @@ impl Telemetry {
 
     /// Add `by` to a counter (creating it at zero).
     pub fn incr(&mut self, name: &str, by: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+        let metric = match self.metrics.get_mut(name) {
+            Some(m) => m,
+            None => self.insert(name, Metric::Counter(0)),
+        };
+        match metric {
             Metric::Counter(c) => *c += by,
             _ => panic!("telemetry metric '{name}' is not a counter"),
         }
@@ -117,13 +117,17 @@ impl Telemetry {
 
     /// Set a gauge's current value (also feeds its running moments).
     pub fn gauge(&mut self, name: &str, value: f64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Gauge {
-                last: 0.0,
-                stats: OnlineStats::new(),
-            }) {
+        let metric = match self.metrics.get_mut(name) {
+            Some(m) => m,
+            None => self.insert(
+                name,
+                Metric::Gauge {
+                    last: 0.0,
+                    stats: OnlineStats::new(),
+                },
+            ),
+        };
+        match metric {
             Metric::Gauge { last, stats } => {
                 *last = value;
                 stats.push(value);
@@ -134,14 +138,19 @@ impl Telemetry {
 
     /// Record an observation into a histogram.
     pub fn observe(&mut self, name: &str, value: f64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(LogHistogram::default()))
-        {
+        let metric = match self.metrics.get_mut(name) {
+            Some(m) => m,
+            None => self.insert(name, Metric::Histogram(LogHistogram::default())),
+        };
+        match metric {
             Metric::Histogram(h) => h.observe(value),
             _ => panic!("telemetry metric '{name}' is not a histogram"),
         }
+    }
+
+    /// First use of `name`: the only update that allocates its key.
+    fn insert(&mut self, name: &str, metric: Metric) -> &mut Metric {
+        self.metrics.entry(name.to_string()).or_insert(metric)
     }
 
     /// Current value of a counter (0 if absent).

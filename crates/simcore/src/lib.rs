@@ -11,17 +11,15 @@
 //! * [`stats`] — summary statistics (Welford online moments, percentiles,
 //!   CDFs, coefficient of variation) used both by the metric collector and by
 //!   the experiment harness.
-//! * [`events`] — a discrete-event queue with stable FIFO tie-breaking and a
-//!   microsecond-resolution simulation clock, plus the sharded queue set
-//!   behind the parallel engine (conservative windows batched into adaptive
-//!   drain epochs).
-//! * [`arena`] — the slab-backed 4-ary index heap the sharded queues store
-//!   events in: payloads never move after insertion, only 24-byte keys sift.
+//! * [`events`] — a discrete-event queue with stable FIFO tie-breaking, a
+//!   microsecond-resolution simulation clock, and cancellable timers: a
+//!   scheduled event can be re-timed in place or cancelled by its
+//!   [`EventId`].
+//! * [`arena`] — the slab-backed, indexed 4-ary heap the queue stores
+//!   events in: payloads never move after insertion, only 24-byte keys sift,
+//!   and a position index finds any pending event's key directly.
 //! * [`par`] — order-preserving parallel maps on scoped threads for the
 //!   embarrassingly parallel experiment sweeps.
-//! * [`shard_pool`] — the persistent worker pool behind the threaded shard
-//!   backing of [`ShardedEventQueue`]: per-shard mailboxes, heap ownership,
-//!   and the absorb/drain barrier rendezvous.
 //! * [`table`] — plain-text table rendering for regenerated paper tables.
 //!
 //! # Examples
@@ -50,12 +48,10 @@ pub mod dist;
 pub mod events;
 pub mod par;
 pub mod rng;
-pub mod shard_pool;
 pub mod stats;
 pub mod table;
 
-pub use arena::EventHeap;
-pub use events::{BarrierStats, EventQueue, ShardedEventQueue, SimTime, WIDTH_BUCKETS};
+pub use arena::{EventHeap, EventId};
+pub use events::{EventQueue, SimTime};
 pub use rng::{seed_stream, SimRng};
-pub use shard_pool::SyncProfile;
 pub use stats::{percentile, percentile_sorted, Cdf, OnlineStats, Reservoir, Summary};

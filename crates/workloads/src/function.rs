@@ -83,16 +83,17 @@ impl FunctionSpec {
         SimTime(cold + self.warm_duration().0)
     }
 
-    /// Phases of one invocation, cold-start first when `cold` is set.
-    pub fn invocation_phases(&self, cold: bool) -> Vec<PhaseSpec> {
-        let mut out = Vec::with_capacity(self.phases.len() + 1);
-        if cold {
-            if let Some(cs) = self.cold_start {
-                out.push(cs);
-            }
+    /// Phase `idx` of one invocation: the cold-start phase comes first when
+    /// `cold` is set and the function has one, then the work phases. `None`
+    /// past the last phase.
+    pub fn invocation_phase(&self, cold: bool, idx: usize) -> Option<&PhaseSpec> {
+        match (cold, &self.cold_start) {
+            (true, Some(cs)) => match idx {
+                0 => Some(cs),
+                _ => self.phases.get(idx - 1),
+            },
+            _ => self.phases.get(idx),
         }
-        out.extend_from_slice(&self.phases);
-        out
     }
 
     /// Average demand weighted by phase duration — the "size" of the
@@ -173,10 +174,18 @@ mod tests {
     fn invocation_phases_order() {
         let mut f = FunctionSpec::single_phase("f", phase(100.0));
         f.cold_start = Some(phase(50.0));
-        assert_eq!(f.invocation_phases(false).len(), 1);
-        let cold = f.invocation_phases(true);
-        assert_eq!(cold.len(), 2);
-        assert_eq!(cold[0].duration, SimTime::from_millis(50.0));
+        let ms = |f: &FunctionSpec, cold, idx| {
+            f.invocation_phase(cold, idx)
+                .map(|p| p.duration.as_millis())
+        };
+        assert_eq!((ms(&f, false, 0), ms(&f, false, 1)), (Some(100.0), None));
+        assert_eq!(
+            (ms(&f, true, 0), ms(&f, true, 1), ms(&f, true, 2)),
+            (Some(50.0), Some(100.0), None)
+        );
+        // A cold invocation of a function without a cold phase is all work.
+        f.cold_start = None;
+        assert_eq!((ms(&f, true, 0), ms(&f, true, 1)), (Some(100.0), None));
     }
 
     #[test]
