@@ -22,7 +22,9 @@
 //!   replay speedup on the quick-mode chaos point.
 
 use crate::fault_sweep::{chaos_run_with_obs, SweepPoint};
-use obs::journal::{check_invariants, read_journal, read_journal_tolerant, MemoryJournal};
+use obs::journal::{
+    check_invariants, checkpoint_violations, read_journal, read_journal_tolerant, MemoryJournal,
+};
 use obs::json::Json;
 use obs::Obs;
 
@@ -92,15 +94,22 @@ pub struct Replay {
     pub checkpoints: usize,
 }
 
-/// Strictly parse a journal, check the ordering invariants, and fold the
-/// records into run artifacts. Errors on any corruption, truncation,
-/// invariant violation, or fold inconsistency.
+/// Strictly parse a journal, check the ordering invariants and the
+/// checkpoint counters, and fold the records into run artifacts. Errors on
+/// any corruption, truncation, invariant violation, or fold inconsistency.
 pub fn replay_bytes(bytes: &[u8]) -> Result<Replay, String> {
     let parsed = read_journal(bytes)?;
     let violations = check_invariants(&parsed.records);
     if !violations.is_empty() {
         return Err(format!(
             "journal violates ordering invariants:\n  {}",
+            violations.join("\n  ")
+        ));
+    }
+    let violations = checkpoint_violations(&parsed.records);
+    if !violations.is_empty() {
+        return Err(format!(
+            "journal checkpoints disagree with its records:\n  {}",
             violations.join("\n  ")
         ));
     }
@@ -378,6 +387,66 @@ pub fn journal_bench() -> JournalBench {
 pub fn truncate_bytes(bytes: &[u8], frac: f64) -> Vec<u8> {
     let cut = ((bytes.len() as f64) * frac.clamp(0.0, 1.0)) as usize;
     bytes[..cut.max(1)].to_vec()
+}
+
+/// FNV-1a digests of a journaled run's outputs, for pinning them across
+/// engine changes without storing the outputs themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutputDigest {
+    /// Of the report JSON.
+    pub report: u64,
+    /// Of the telemetry JSONL (empty when telemetry was off).
+    pub telemetry: u64,
+    /// Of the fault-log JSONL.
+    pub faults: u64,
+    /// Of the fault summary.
+    pub fault_summary: u64,
+    /// Of the journal records, with `Checkpoint.pending_events` zeroed: the
+    /// one recorded figure that depends on how the queue stores timers.
+    pub journal: u64,
+    /// Of all of the above, in field order.
+    pub combined: u64,
+}
+
+/// Digest a journaled run's `artifacts` and journal `bytes`.
+pub fn output_digest(artifacts: &Artifacts, bytes: &[u8]) -> Result<OutputDigest, String> {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fn fnv(fp: &mut u64, bytes: &[u8]) {
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            *fp = (*fp ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    let mut journal = OFFSET;
+    for r in read_journal(bytes)?.records {
+        let mut event = r.event;
+        if let obs::journal::JournalEvent::Checkpoint(c) = &mut event {
+            c.pending_events = 0;
+        }
+        fnv(&mut journal, &r.seq.to_le_bytes());
+        fnv(&mut journal, &r.at_us.to_le_bytes());
+        fnv(&mut journal, &event.encode());
+    }
+    let parts = [
+        artifacts.report_json.as_str(),
+        artifacts.telemetry_jsonl.as_deref().unwrap_or_default(),
+        &artifacts.faults_jsonl,
+        &artifacts.fault_summary,
+    ];
+    let mut each = [OFFSET; 4];
+    let mut combined = OFFSET;
+    for (fp, part) in each.iter_mut().zip(parts) {
+        fnv(fp, part.as_bytes());
+        fnv(&mut combined, part.as_bytes());
+    }
+    fnv(&mut combined, &journal.to_le_bytes());
+    Ok(OutputDigest {
+        report: each[0],
+        telemetry: each[1],
+        faults: each[2],
+        fault_summary: each[3],
+        journal,
+        combined,
+    })
 }
 
 #[cfg(test)]
