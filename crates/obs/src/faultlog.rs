@@ -46,8 +46,8 @@ pub struct FaultLog {
 }
 
 /// Every label an engine site can put into [`FaultRecord::kind`] (see the
-/// type docs). Journal replay needs to rebuild `FaultRecord`s — whose `kind`
-/// is a `&'static str` — from decoded strings, so the label set is closed.
+/// type docs). The journal decoder interns decoded labels back to their
+/// `&'static str` form, so the label set is closed.
 const KNOWN_KINDS: &[&str] = &[
     "cold_storm",
     "gateway_drop",
@@ -66,7 +66,7 @@ const KNOWN_KINDS: &[&str] = &[
 ];
 
 /// Map a decoded label back to its static form; `None` for labels no engine
-/// site emits (a replay hitting that is reading a corrupt or foreign
+/// site emits (a decoder hitting that is reading a corrupt or foreign
 /// journal).
 pub fn intern_kind(kind: &str) -> Option<&'static str> {
     KNOWN_KINDS.iter().copied().find(|k| *k == kind)

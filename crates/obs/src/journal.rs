@@ -182,10 +182,9 @@ impl<'a> Dec<'a> {
     fn f64(&mut self) -> Result<f64, String> {
         Ok(f64::from_bits(self.u64()?))
     }
-    fn str(&mut self) -> Result<String, String> {
+    fn str(&mut self) -> Result<&'a str, String> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| e.to_string())
+        std::str::from_utf8(self.take(n)?).map_err(|e| e.to_string())
     }
     fn f64s(&mut self) -> Result<Vec<f64>, String> {
         let n = self.u32()? as usize;
@@ -316,8 +315,10 @@ pub enum JournalEvent {
         instances: u64,
     },
     /// A fault-log record (injected fault or recovery/degradation action).
+    /// `kind` is one of the labels [`crate::faultlog::intern_kind`] knows;
+    /// decoding rejects any other.
     Fault {
-        kind: String,
+        kind: &'static str,
         target: i64,
         value: f64,
     },
@@ -496,7 +497,7 @@ impl JournalEvent {
             TAG_DEPLOY => JournalEvent::Deploy {
                 wl: d.u32()?,
                 nodes: d.u32()?,
-                name: d.str()?,
+                name: d.str()?.to_string(),
             },
             TAG_PLACEMENT => JournalEvent::Placement {
                 kind: PlacementKind::from_u8(d.u8()?)?,
@@ -555,11 +556,17 @@ impl JournalEvent {
                 instances: d.u64()?,
             },
             TAG_FAULT => JournalEvent::Fault {
-                kind: d.str()?,
+                kind: {
+                    let kind = d.str()?;
+                    crate::faultlog::intern_kind(kind)
+                        .ok_or_else(|| format!("unknown fault kind {kind:?}"))?
+                },
                 target: d.i64()?,
                 value: d.f64()?,
             },
-            TAG_TELEMETRY_SNAPSHOT => JournalEvent::TelemetrySnapshot { jsonl: d.str()? },
+            TAG_TELEMETRY_SNAPSHOT => JournalEvent::TelemetrySnapshot {
+                jsonl: d.str()?.to_string(),
+            },
             TAG_CHECKPOINT => {
                 let at_us = d.u64()?;
                 let mut sim_rng = [0u64; 4];
@@ -1128,7 +1135,7 @@ mod tests {
             (
                 1_000_000,
                 JournalEvent::Fault {
-                    kind: "server_crash".into(),
+                    kind: "server_crash",
                     target: 3,
                     value: 0.0,
                 },

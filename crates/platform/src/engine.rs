@@ -16,14 +16,15 @@
 
 use crate::config::{PlatformConfig, ResilienceConfig};
 use crate::gateway::{Forward, Gateway};
-use crate::report::{FunctionSeries, RunReport, UtilizationSample, WorkloadSeries};
+use crate::replay::Fold;
+use crate::report::RunReport;
 use crate::scale::{placement_journal_event, ClusterView, PlacementDecision, Placer};
 use cluster::{InstanceId, ServerState};
 use faults::{FaultConfig, FaultInjector, FaultKind};
 use metricsd::MetricVector;
 use obs::journal::{CheckpointState, JournalEvent, PlacementKind};
 use obs::json::Json;
-use obs::{FaultRecord, Obs, SpanRecord, Track};
+use obs::{Obs, SpanRecord, Track};
 use simcore::rng::seed_stream;
 use simcore::{EventId, EventQueue, SimRng, SimTime};
 use std::collections::{BTreeSet, VecDeque};
@@ -366,20 +367,20 @@ impl Simulation {
         };
     }
 
-    /// Append one event to the attached journal, if any. Off-path cost is a
-    /// single `Option` check; callers that must *build* an event (clone a
-    /// string, collect a vector) should guard with [`Simulation::journaling`]
-    /// first so journal-off runs allocate nothing.
-    fn journal(&mut self, at: SimTime, ev: JournalEvent) {
+    /// Emit one event: append it to the attached journal, if any, then
+    /// apply the journal fold to the report, the fault log and the paired
+    /// telemetry counters — the same fold replay runs over the journal.
+    fn emit(&mut self, at: SimTime, ev: JournalEvent) {
         if let Some(j) = self.obs.journal.as_mut() {
             j.record(at.as_micros(), &ev);
         }
-    }
-
-    /// Whether a journal sink is attached.
-    #[inline]
-    fn journaling(&self) -> bool {
-        self.obs.journal.is_some()
+        Fold {
+            report: &mut self.report,
+            faults: self.obs.faults.as_mut(),
+            telemetry: self.obs.telemetry.as_mut(),
+        }
+        .apply(at.as_micros(), &ev)
+        .expect("the engine emitted an event its own fold rejects");
     }
 
     /// Install a fault-injection config. With any class enabled, the first
@@ -500,28 +501,21 @@ impl Simulation {
             instances.push(insts);
         }
 
-        self.report.workloads.push(WorkloadSeries {
-            functions: vec![FunctionSeries::default(); g.len()],
-            ..Default::default()
-        });
-
-        if self.journaling() {
-            let now = self.queue.now();
-            self.journal(
-                now,
-                JournalEvent::Deploy {
-                    wl: wl as u32,
-                    nodes: g.len() as u32,
-                    name: workload.name.clone(),
-                },
-            );
-            for (node, placements) in placement.iter().enumerate() {
-                for p in placements {
-                    self.journal(
-                        now,
-                        placement_journal_event(PlacementKind::Initial, wl, node, p),
-                    );
-                }
+        let now = self.queue.now();
+        self.emit(
+            now,
+            JournalEvent::Deploy {
+                wl: wl as u32,
+                nodes: g.len() as u32,
+                name: workload.name.clone(),
+            },
+        );
+        for (node, placements) in placement.iter().enumerate() {
+            for p in placements {
+                self.emit(
+                    now,
+                    placement_journal_event(PlacementKind::Initial, wl, node, p),
+                );
             }
         }
 
@@ -559,24 +553,22 @@ impl Simulation {
             self.events_processed += 1;
             self.dispatch(now, ev, end);
         }
-        self.report.horizon = end;
-        self.report.gateway_forward_ms = self.gateway.forward_latencies().to_vec();
-        if self.journaling() {
-            // Final telemetry snapshot, then the run-end sentinel; `finish`
-            // flushes buffered bytes so the file is replayable immediately.
-            let jsonl = self.obs.telemetry.as_ref().map(|t| t.to_jsonl());
-            if let Some(jsonl) = jsonl {
-                self.journal(end, JournalEvent::TelemetrySnapshot { jsonl });
+        // A journaled run ends with its final telemetry snapshot, then the
+        // run-end sentinel; `finish` flushes buffered bytes so the file is
+        // replayable immediately.
+        if self.obs.journal.is_some() {
+            if let Some(jsonl) = self.obs.telemetry.as_ref().map(|t| t.to_jsonl()) {
+                self.emit(end, JournalEvent::TelemetrySnapshot { jsonl });
             }
-            self.journal(
-                end,
-                JournalEvent::RunEnd {
-                    horizon_us: end.as_micros(),
-                },
-            );
-            if let Some(j) = self.obs.journal.as_mut() {
-                j.finish();
-            }
+        }
+        self.emit(
+            end,
+            JournalEvent::RunEnd {
+                horizon_us: end.as_micros(),
+            },
+        );
+        if let Some(j) = self.obs.journal.as_mut() {
+            j.finish();
         }
     }
 
@@ -651,11 +643,7 @@ impl Simulation {
             attempt: 0,
             outcome: None,
         });
-        self.report.workloads[wl].arrivals += 1;
-        self.journal(now, JournalEvent::Arrival { wl: wl as u32, req });
-        if let Some(t) = self.obs.telemetry.as_mut() {
-            t.incr("requests.arrivals", 1);
-        }
+        self.emit(now, JournalEvent::Arrival { wl: wl as u32, req });
         // Load shedding: refuse the request outright while the gateway
         // queue is at or past the configured depth.
         if self
@@ -666,11 +654,7 @@ impl Simulation {
             let r = &mut self.requests[req as usize];
             r.outcome = Some(Outcome::Shed);
             r.done = true;
-            self.report.workloads[wl].shed += 1;
-            self.journal(now, JournalEvent::Shed { wl: wl as u32, req });
-            if let Some(t) = self.obs.telemetry.as_mut() {
-                t.incr("requests.shed", 1);
-            }
+            self.emit(now, JournalEvent::Shed { wl: wl as u32, req });
             self.log_fault(now, "shed", req as i64, self.gateway.depth() as f64);
             return;
         }
@@ -716,12 +700,7 @@ impl Simulation {
     }
 
     fn on_gateway_done(&mut self, now: SimTime, fwd: Forward) {
-        let fwd_ms = self.gateway.record_latency(fwd.enqueued_at, now);
-        self.journal(now, fwd.journal_event(fwd_ms));
-        if let Some(t) = self.obs.telemetry.as_mut() {
-            t.incr("gateway.forwards", 1);
-            t.observe("gateway.forward_ms", now.since(fwd.enqueued_at).as_millis());
-        }
+        self.emit(now, fwd.done_event(now));
         // Forwards from an aborted attempt (or a settled request) are stale:
         // the gateway spent service time on them, but nothing is delivered.
         {
@@ -852,9 +831,8 @@ impl Simulation {
                 .invocation_phase(cold, 0)
                 .copied();
             if cold {
-                self.report.workloads[wl].functions[node].cold_starts += 1;
                 let req = self.tasks[task_id].req;
-                self.journal(
+                self.emit(
                     now,
                     JournalEvent::ColdStart {
                         wl: wl as u32,
@@ -866,9 +844,6 @@ impl Simulation {
             {
                 let wait_ms = now.since(self.tasks[task_id].enqueued_at).as_millis();
                 if let Some(t) = self.obs.telemetry.as_mut() {
-                    if cold {
-                        t.incr("instances.cold_starts", 1);
-                    }
                     t.observe("instance.queue_wait_ms", wait_ms);
                 }
                 if self.obs.tracing() {
@@ -1025,12 +1000,7 @@ impl Simulation {
         };
         let local_ms = now.since(self.tasks[task_id].enqueued_at).as_millis();
         self.tasks[task_id].service_done = now;
-        {
-            let fs = &mut self.report.workloads[wl].functions[node];
-            fs.local_latencies_ms.push(local_ms);
-            fs.completions += 1;
-        }
-        self.journal(
+        self.emit(
             now,
             JournalEvent::TaskDone {
                 wl: wl as u32,
@@ -1039,10 +1009,6 @@ impl Simulation {
                 local_ms,
             },
         );
-        if let Some(t) = self.obs.telemetry.as_mut() {
-            t.incr("functions.completions", 1);
-            t.observe("function.local_ms", local_ms);
-        }
         if let Some(load_id) = self.tasks[task_id].load_id.take() {
             self.servers[server].remove(load_id);
             self.server_tasks[server].retain(|&t| t != task_id);
@@ -1161,10 +1127,7 @@ impl Simulation {
             r.outcome = Some(Outcome::Completed);
             let arrival = r.arrival;
             let e2e = now.since(arrival).as_millis();
-            let series = &mut self.report.workloads[wl];
-            series.e2e_latencies_ms.push(e2e);
-            series.completions += 1;
-            self.journal(
+            self.emit(
                 now,
                 JournalEvent::Completed {
                     wl: wl as u32,
@@ -1173,8 +1136,6 @@ impl Simulation {
                 },
             );
             if let Some(t) = self.obs.telemetry.as_mut() {
-                t.incr("requests.completions", 1);
-                t.observe("request.e2e_ms", e2e);
                 if self.sla_ms[wl].is_some_and(|sla| e2e > sla) {
                     t.incr("sla.violations", 1);
                 }
@@ -1221,24 +1182,15 @@ impl Simulation {
         } else {
             0.0
         };
-        if self.journaling() {
-            self.journal(
-                now,
-                JournalEvent::Utilization {
-                    cpu: cpu_utils.clone(),
-                    memory: mem_utils.clone(),
-                    density,
-                    instances: self.instance_count as u64,
-                },
-            );
-        }
-        self.report.utilization.push(UtilizationSample {
-            at: now,
-            cpu: cpu_utils,
-            memory: mem_utils,
-            function_density: density,
-            instances: self.instance_count,
-        });
+        self.emit(
+            now,
+            JournalEvent::Utilization {
+                cpu: cpu_utils,
+                memory: mem_utils,
+                density,
+                instances: self.instance_count as u64,
+            },
+        );
 
         if let Some(t) = self.obs.telemetry.as_mut() {
             let queued: usize = self
@@ -1260,7 +1212,7 @@ impl Simulation {
         // the queue) and aligned with a consistent post-autoscale state.
         if self.checkpoint_every > SimTime::ZERO && now >= self.next_checkpoint {
             let state = self.checkpoint_state(now);
-            self.journal(now, JournalEvent::Checkpoint(state));
+            self.emit(now, JournalEvent::Checkpoint(state));
             while self.next_checkpoint <= now {
                 self.next_checkpoint = self.next_checkpoint.plus(self.checkpoint_every);
             }
@@ -1321,19 +1273,14 @@ impl Simulation {
             for (node, &(sum, count)) in nodes.iter().enumerate() {
                 if count > 0 {
                     let m = sum.scale(1.0 / count as f64);
-                    if self.journaling() {
-                        self.journal(
-                            now,
-                            JournalEvent::MetricSample {
-                                wl: wl as u32,
-                                node: node as u32,
-                                values: m.as_slice().to_vec(),
-                            },
-                        );
-                    }
-                    self.report.workloads[wl].functions[node]
-                        .metric_samples
-                        .push(m);
+                    self.emit(
+                        now,
+                        JournalEvent::MetricSample {
+                            wl: wl as u32,
+                            node: node as u32,
+                            values: m.as_slice().to_vec(),
+                        },
+                    );
                 }
             }
         }
@@ -1467,14 +1414,10 @@ impl Simulation {
                     alive: true,
                 });
                 self.instance_count += 1;
-                self.report.scale_outs.push((now, wl, node));
-                self.journal(
+                self.emit(
                     now,
                     placement_journal_event(PlacementKind::ScaleOut, wl, node, &p),
                 );
-                if let Some(t) = self.obs.telemetry.as_mut() {
-                    t.incr("autoscaler.scale_outs", 1);
-                }
             } else if let Some(t) = self.obs.telemetry.as_mut() {
                 t.incr("autoscaler.rejections", 1);
             }
@@ -1485,26 +1428,18 @@ impl Simulation {
     // Fault injection & degradation
     // ------------------------------------------------------------------
 
+    /// Record a fault-log entry. Faults are emitted only while a fault log
+    /// is attached, so a replayed log matches the live one entry-for-entry.
     fn log_fault(&mut self, now: SimTime, kind: &'static str, target: i64, value: f64) {
-        if let Some(fl) = self.obs.faults.as_mut() {
-            fl.push(FaultRecord {
-                at_ms: now.as_millis(),
-                kind,
-                target,
-                value,
-            });
-            // Journal the fault record alongside the log push (same guard),
-            // so a replayed FaultLog matches the live one entry-for-entry.
-            if self.obs.journal.is_some() {
-                self.journal(
-                    now,
-                    JournalEvent::Fault {
-                        kind: kind.to_string(),
-                        target,
-                        value,
-                    },
-                );
-            }
+        if self.obs.faults.is_some() {
+            self.emit(
+                now,
+                JournalEvent::Fault {
+                    kind,
+                    target,
+                    value,
+                },
+            );
         }
     }
 
@@ -1731,13 +1666,10 @@ impl Simulation {
                 });
                 self.instance_count += 1;
                 self.log_fault(now, "rewarm", p.server as i64, node as f64);
-                self.journal(
+                self.emit(
                     now,
                     placement_journal_event(PlacementKind::Rewarm, wl, node, &p),
                 );
-                if let Some(t) = self.obs.telemetry.as_mut() {
-                    t.incr("autoscaler.rewarms", 1);
-                }
             }
         }
     }
@@ -1757,8 +1689,7 @@ impl Simulation {
         if attempt < self.resilience.max_retries {
             let u = self.retry_rng.f64();
             let delay = self.resilience.backoff_delay(attempt, u);
-            self.report.workloads[wl].retries += 1;
-            self.journal(
+            self.emit(
                 now,
                 JournalEvent::Retry {
                     wl: wl as u32,
@@ -1766,9 +1697,6 @@ impl Simulation {
                     delay_ms: delay.as_millis(),
                 },
             );
-            if let Some(t) = self.obs.telemetry.as_mut() {
-                t.incr("requests.retries", 1);
-            }
             self.log_fault(now, "retry", req as i64, delay.as_millis());
             self.queue
                 .schedule(now.plus(delay), Ev::RetryRequest { req });
@@ -1776,8 +1704,7 @@ impl Simulation {
             let r = &mut self.requests[req as usize];
             r.outcome = Some(Outcome::Failed);
             r.done = true;
-            self.report.workloads[wl].failed += 1;
-            self.journal(
+            self.emit(
                 now,
                 JournalEvent::Failed {
                     wl: wl as u32,
@@ -1785,9 +1712,6 @@ impl Simulation {
                     attempts: attempt,
                 },
             );
-            if let Some(t) = self.obs.telemetry.as_mut() {
-                t.incr("requests.failures", 1);
-            }
             self.log_fault(now, "request_failed", req as i64, attempt as f64);
         }
     }

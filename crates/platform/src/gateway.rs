@@ -29,11 +29,14 @@ pub struct Forward {
 }
 
 impl Forward {
-    /// Journal record for this forward's completed service. Stale forwards
-    /// (of aborted attempts) are journaled too: their latency still lands in
-    /// the live run's report vector, and replay must match it exactly.
-    pub(crate) fn journal_event(&self, ms: f64) -> obs::journal::JournalEvent {
-        obs::journal::JournalEvent::GatewayForward { req: self.req, ms }
+    /// The event of this forward's service completing at `now`, carrying
+    /// its total latency (wait + service, ms) for Fig. 14. Stale forwards
+    /// (of aborted attempts) emit it too: the gateway spent the time.
+    pub(crate) fn done_event(&self, now: SimTime) -> obs::journal::JournalEvent {
+        obs::journal::JournalEvent::GatewayForward {
+            req: self.req,
+            ms: now.since(self.enqueued_at).as_millis(),
+        }
     }
 }
 
@@ -42,8 +45,6 @@ impl Forward {
 pub struct Gateway {
     queue: VecDeque<Forward>,
     busy: bool,
-    /// Completed-forward latencies (wait + service), for Fig. 14.
-    forward_latencies: Vec<f64>,
 }
 
 impl Gateway {
@@ -81,14 +82,6 @@ impl Gateway {
         }
     }
 
-    /// Record a completed forward's total latency (for the overhead study)
-    /// and return it, so the caller can journal the exact recorded value.
-    pub fn record_latency(&mut self, enqueued_at: SimTime, now: SimTime) -> f64 {
-        let ms = now.since(enqueued_at).as_millis();
-        self.forward_latencies.push(ms);
-        ms
-    }
-
     /// Current queue depth.
     pub fn depth(&self) -> usize {
         self.queue.len()
@@ -97,11 +90,6 @@ impl Gateway {
     /// Whether a forward is in service.
     pub fn is_busy(&self) -> bool {
         self.busy
-    }
-
-    /// Completed-forward latencies in ms.
-    pub fn forward_latencies(&self) -> &[f64] {
-        &self.forward_latencies
     }
 }
 
@@ -166,9 +154,10 @@ mod tests {
 
     #[test]
     fn latency_recording() {
-        let mut g = Gateway::new();
-        let ms = g.record_latency(SimTime::ZERO, SimTime::from_millis(2.0));
-        assert_eq!(ms, 2.0);
-        assert_eq!(g.forward_latencies(), &[2.0]);
+        let ev = fwd(7).done_event(SimTime::from_millis(2.0));
+        assert_eq!(
+            ev,
+            obs::journal::JournalEvent::GatewayForward { req: 7, ms: 2.0 }
+        );
     }
 }

@@ -1,19 +1,17 @@
-//! Journal replay: reconstruct run artifacts without re-simulating.
+//! The journal fold: one function from journal events to run artifacts.
 //!
-//! A journal (see [`obs::journal`]) captures every report-relevant event a
-//! run emitted. Folding those records back through [`replay`] rebuilds the
-//! [`RunReport`], the [`FaultLog`], and the final telemetry snapshot in one
-//! linear pass — no event queue, no contention model, no RNG. The contract
-//! is *byte-identity*: a replayed report renders exactly the bytes the live
-//! run's report did ([`RunReport::render_json`]), the replayed fault log's
-//! JSONL and summary match the live ones, and the telemetry snapshot is the
-//! verbatim string the engine journaled at run end.
+//! The engine builds every report fact as a [`JournalEvent`] and applies
+//! [`Fold::apply`] to it, live; [`replay`] applies the same fold to the
+//! records of a journal (see [`obs::journal`]) in one linear pass — no event
+//! queue, no contention model, no RNG. So a replayed [`RunReport`] renders
+//! the bytes the live run's report did ([`RunReport::render_json`]) and the
+//! replayed [`FaultLog`] matches the live one by construction. The telemetry
+//! snapshot is the verbatim string the engine journaled at run end.
 
 use crate::report::{FunctionSeries, RunReport, UtilizationSample, WorkloadSeries};
 use metricsd::MetricVector;
-use obs::faultlog::{intern_kind, FaultLog};
-use obs::journal::{CheckpointState, JournalEvent, JournalRecord};
-use obs::FaultRecord;
+use obs::journal::{CheckpointState, JournalEvent, JournalRecord, PlacementKind};
+use obs::{FaultLog, FaultRecord, Telemetry};
 use simcore::SimTime;
 
 /// Everything a journal fold reconstructs.
@@ -33,29 +31,61 @@ pub struct Replayed {
     pub records: usize,
 }
 
-fn wl_mut(report: &mut RunReport, wl: u32, seq: u64) -> Result<&mut WorkloadSeries, String> {
+/// The artifacts one event updates: the report always, the fault log and
+/// the telemetry counters that pair with an event when attached.
+pub struct Fold<'a> {
+    /// Series and counters of the run report.
+    pub report: &'a mut RunReport,
+    /// `Fault` events append here.
+    pub faults: Option<&'a mut FaultLog>,
+    /// `requests.*`, `gateway.forward*`, `instances.cold_starts`,
+    /// `functions.completions`, `function.local_ms`, `request.e2e_ms` and
+    /// `autoscaler.{scale_outs,rewarms}`.
+    pub telemetry: Option<&'a mut Telemetry>,
+}
+
+fn incr(t: &mut Option<&mut Telemetry>, name: &str) {
+    if let Some(t) = t {
+        t.incr(name, 1);
+    }
+}
+
+fn observe(t: &mut Option<&mut Telemetry>, name: &str, value: f64) {
+    if let Some(t) = t {
+        t.observe(name, value);
+    }
+}
+
+fn workload(report: &mut RunReport, wl: u32) -> Result<&mut WorkloadSeries, String> {
     report
         .workloads
         .get_mut(wl as usize)
-        .ok_or_else(|| format!("record seq={seq} references undeployed workload {wl}"))
+        .ok_or_else(|| format!("references undeployed workload {wl}"))
 }
 
-/// Fold a parsed journal's records into run artifacts. Errors on records
-/// that reference workloads/nodes never deployed, malformed metric samples,
-/// or fault kinds outside the engine's known label set — all symptoms of a
-/// journal that did not come from this engine.
-pub fn replay(records: &[JournalRecord]) -> Result<Replayed, String> {
-    let mut report = RunReport::default();
-    let mut faults = FaultLog::new();
-    let mut telemetry_jsonl = None;
-    let mut checkpoints = Vec::new();
-    for rec in records {
-        let seq = rec.seq;
-        match &rec.event {
+fn function(report: &mut RunReport, wl: u32, node: u32) -> Result<&mut FunctionSeries, String> {
+    let w = workload(report, wl)?;
+    let nodes = w.functions.len();
+    w.functions
+        .get_mut(node as usize)
+        .ok_or_else(|| format!("references node {node} of workload {wl} (has {nodes})"))
+}
+
+impl Fold<'_> {
+    /// Apply one event at sim time `at_us`. Errors on events that reference
+    /// workloads or nodes never deployed, malformed metric samples and
+    /// out-of-order deploys — a journal that did not come from this engine.
+    pub fn apply(&mut self, at_us: u64, ev: &JournalEvent) -> Result<(), String> {
+        let Fold {
+            report,
+            faults,
+            telemetry: t,
+        } = self;
+        match ev {
             JournalEvent::Deploy { wl, nodes, .. } => {
                 if *wl as usize != report.workloads.len() {
                     return Err(format!(
-                        "record seq={seq}: deploy of workload {wl} out of order (have {})",
+                        "deploy of workload {wl} out of order (have {})",
                         report.workloads.len()
                     ));
                 }
@@ -65,113 +95,126 @@ pub fn replay(records: &[JournalRecord]) -> Result<Replayed, String> {
                 });
             }
             JournalEvent::Placement { kind, wl, node, .. } => {
-                let nodes = wl_mut(&mut report, *wl, seq)?.functions.len();
-                if *node as usize >= nodes {
-                    return Err(format!(
-                        "record seq={seq}: placement on node {node} of workload {wl} (has {nodes})"
-                    ));
-                }
-                if *kind == obs::journal::PlacementKind::ScaleOut {
-                    report.scale_outs.push((
-                        SimTime::from_micros(rec.at_us),
-                        *wl as usize,
-                        *node as usize,
-                    ));
+                function(report, *wl, *node)?;
+                match kind {
+                    PlacementKind::Initial => {}
+                    PlacementKind::ScaleOut => {
+                        let at = SimTime::from_micros(at_us);
+                        report.scale_outs.push((at, *wl as usize, *node as usize));
+                        incr(t, "autoscaler.scale_outs");
+                    }
+                    PlacementKind::Rewarm => incr(t, "autoscaler.rewarms"),
                 }
             }
             JournalEvent::Arrival { wl, .. } => {
-                wl_mut(&mut report, *wl, seq)?.arrivals += 1;
+                workload(report, *wl)?.arrivals += 1;
+                incr(t, "requests.arrivals");
             }
             JournalEvent::Shed { wl, .. } => {
-                wl_mut(&mut report, *wl, seq)?.shed += 1;
+                workload(report, *wl)?.shed += 1;
+                incr(t, "requests.shed");
             }
             JournalEvent::GatewayForward { ms, .. } => {
                 report.gateway_forward_ms.push(*ms);
+                incr(t, "gateway.forwards");
+                observe(t, "gateway.forward_ms", *ms);
             }
             JournalEvent::ColdStart { wl, node, .. } => {
-                let w = wl_mut(&mut report, *wl, seq)?;
-                let f = w.functions.get_mut(*node as usize).ok_or_else(|| {
-                    format!("record seq={seq}: cold start on unknown node {node}")
-                })?;
-                f.cold_starts += 1;
+                function(report, *wl, *node)?.cold_starts += 1;
+                incr(t, "instances.cold_starts");
             }
             JournalEvent::TaskDone {
                 wl, node, local_ms, ..
             } => {
-                let w = wl_mut(&mut report, *wl, seq)?;
-                let f = w
-                    .functions
-                    .get_mut(*node as usize)
-                    .ok_or_else(|| format!("record seq={seq}: task done on unknown node {node}"))?;
+                let f = function(report, *wl, *node)?;
                 f.local_latencies_ms.push(*local_ms);
                 f.completions += 1;
+                incr(t, "functions.completions");
+                observe(t, "function.local_ms", *local_ms);
             }
             JournalEvent::Completed { wl, e2e_ms, .. } => {
-                let w = wl_mut(&mut report, *wl, seq)?;
+                let w = workload(report, *wl)?;
                 w.e2e_latencies_ms.push(*e2e_ms);
                 w.completions += 1;
+                incr(t, "requests.completions");
+                observe(t, "request.e2e_ms", *e2e_ms);
             }
             JournalEvent::Retry { wl, .. } => {
-                wl_mut(&mut report, *wl, seq)?.retries += 1;
+                workload(report, *wl)?.retries += 1;
+                incr(t, "requests.retries");
             }
             JournalEvent::Failed { wl, .. } => {
-                wl_mut(&mut report, *wl, seq)?.failed += 1;
+                workload(report, *wl)?.failed += 1;
+                incr(t, "requests.failures");
             }
             JournalEvent::MetricSample { wl, node, values } => {
-                if values.len() != metricsd::NUM_METRICS {
-                    return Err(format!(
-                        "record seq={seq}: metric sample has {} values, expected {}",
-                        values.len(),
-                        metricsd::NUM_METRICS
-                    ));
-                }
-                let mut arr = [0.0; metricsd::NUM_METRICS];
-                arr.copy_from_slice(values);
-                let w = wl_mut(&mut report, *wl, seq)?;
-                let f = w.functions.get_mut(*node as usize).ok_or_else(|| {
-                    format!("record seq={seq}: metric sample on unknown node {node}")
-                })?;
-                f.metric_samples.push(MetricVector::from_array(arr));
+                let arr: [f64; metricsd::NUM_METRICS] =
+                    values.as_slice().try_into().map_err(|_| {
+                        format!(
+                            "metric sample has {} values, expected {}",
+                            values.len(),
+                            metricsd::NUM_METRICS
+                        )
+                    })?;
+                function(report, *wl, *node)?
+                    .metric_samples
+                    .push(MetricVector::from_array(arr));
             }
             JournalEvent::Utilization {
                 cpu,
                 memory,
                 density,
                 instances,
-            } => {
-                report.utilization.push(UtilizationSample {
-                    at: SimTime::from_micros(rec.at_us),
-                    cpu: cpu.clone(),
-                    memory: memory.clone(),
-                    function_density: *density,
-                    instances: *instances as usize,
-                });
-            }
+            } => report.utilization.push(UtilizationSample {
+                at: SimTime::from_micros(at_us),
+                cpu: cpu.clone(),
+                memory: memory.clone(),
+                function_density: *density,
+                instances: *instances as usize,
+            }),
             JournalEvent::Fault {
                 kind,
                 target,
                 value,
             } => {
-                let kind = intern_kind(kind)
-                    .ok_or_else(|| format!("record seq={seq}: unknown fault kind {kind:?}"))?;
-                faults.push(FaultRecord {
-                    at_ms: SimTime::from_micros(rec.at_us).as_millis(),
-                    kind,
-                    target: *target,
-                    value: *value,
-                });
+                if let Some(log) = faults {
+                    log.push(FaultRecord {
+                        at_ms: SimTime::from_micros(at_us).as_millis(),
+                        kind,
+                        target: *target,
+                        value: *value,
+                    });
+                }
             }
-            JournalEvent::TelemetrySnapshot { jsonl } => {
-                // Last snapshot wins — the engine journals exactly one, at
-                // run end, but resumed runs may carry an earlier one too.
-                telemetry_jsonl = Some(jsonl.clone());
-            }
-            JournalEvent::Checkpoint(state) => {
-                checkpoints.push(state.clone());
-            }
+            JournalEvent::TelemetrySnapshot { .. } | JournalEvent::Checkpoint(_) => {}
             JournalEvent::RunEnd { horizon_us } => {
                 report.horizon = SimTime::from_micros(*horizon_us);
             }
+        }
+        Ok(())
+    }
+}
+
+/// Fold a parsed journal's records into run artifacts, with telemetry off:
+/// the telemetry snapshot is taken verbatim from the journal instead.
+pub fn replay(records: &[JournalRecord]) -> Result<Replayed, String> {
+    let mut report = RunReport::default();
+    let mut faults = FaultLog::new();
+    let mut telemetry_jsonl = None;
+    let mut checkpoints = Vec::new();
+    let mut fold = Fold {
+        report: &mut report,
+        faults: Some(&mut faults),
+        telemetry: None,
+    };
+    for rec in records {
+        fold.apply(rec.at_us, &rec.event)
+            .map_err(|e| format!("record seq={}: {e}", rec.seq))?;
+        match &rec.event {
+            // Last snapshot wins — the engine journals one per `run_until`.
+            JournalEvent::TelemetrySnapshot { jsonl } => telemetry_jsonl = Some(jsonl.clone()),
+            JournalEvent::Checkpoint(state) => checkpoints.push(state.clone()),
+            _ => {}
         }
     }
     Ok(Replayed {
@@ -186,7 +229,6 @@ pub fn replay(records: &[JournalRecord]) -> Result<Replayed, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::journal::PlacementKind;
 
     fn rec(seq: u64, at_us: u64, event: JournalEvent) -> JournalRecord {
         JournalRecord { seq, at_us, event }
@@ -284,16 +326,18 @@ mod tests {
 
     #[test]
     fn fold_rejects_unknown_fault_kind() {
-        let records = vec![rec(
+        use obs::journal::{read_journal, JournalSink, MemoryJournal};
+        let mut journal = MemoryJournal::in_memory(&obs::json::Json::obj(), None);
+        journal.record(
             0,
-            0,
-            JournalEvent::Fault {
-                kind: "gremlins".into(),
+            &JournalEvent::Fault {
+                kind: "gremlins",
                 target: -1,
                 value: 0.0,
             },
-        )];
-        let err = replay(&records).unwrap_err();
+        );
+        let err = read_journal(journal.bytes()).unwrap_err();
+        assert!(err.contains("seq 0"), "{err}");
         assert!(err.contains("unknown fault kind"), "{err}");
     }
 
@@ -329,7 +373,7 @@ mod tests {
             0,
             1_500_000,
             JournalEvent::Fault {
-                kind: "server_crash".into(),
+                kind: "server_crash",
                 target: 2,
                 value: 0.0,
             },

@@ -9,7 +9,10 @@ use experiments::journal_runs::{
     fault_sweep_spec, replay_bytes, rerun_from_header, resume_bytes, truncate_bytes,
     CHECKPOINT_EVERY_US,
 };
-use obs::journal::{check_invariants, read_journal, JournalEvent, MemoryJournal};
+use obs::journal::{check_invariants, read_journal, JournalEvent, JournalRecord, MemoryJournal};
+use obs::Telemetry;
+use platform::replay::Fold;
+use platform::RunReport;
 
 const QUICK: bool = true;
 const FAULTS_OFF: SweepPoint = SweepPoint {
@@ -21,9 +24,61 @@ const FAULTS_ON: SweepPoint = SweepPoint {
     slowdown_per_min: 4.0,
 };
 
+/// The telemetry keys the journal fold updates, one-to-one with an event.
+const PAIRED_KEYS: &[&str] = &[
+    "autoscaler.rewarms",
+    "autoscaler.scale_outs",
+    "function.local_ms",
+    "functions.completions",
+    "gateway.forward_ms",
+    "gateway.forwards",
+    "instances.cold_starts",
+    "request.e2e_ms",
+    "requests.arrivals",
+    "requests.completions",
+    "requests.failures",
+    "requests.retries",
+    "requests.shed",
+];
+
+/// The JSONL line of metric `key`, if the snapshot has one.
+fn metric_line<'a>(jsonl: &'a str, key: &str) -> Option<&'a str> {
+    let prefix = format!("{{\"name\":\"{key}\",");
+    jsonl.lines().find(|l| l.starts_with(&prefix))
+}
+
+/// Fold the records into a fresh telemetry registry and check every paired
+/// key renders exactly as in the run's journaled telemetry snapshot.
+fn assert_paired_telemetry_matches(records: &[JournalRecord], context: &str) {
+    let mut report = RunReport::default();
+    let mut telemetry = Telemetry::new();
+    let mut fold = Fold {
+        report: &mut report,
+        faults: None,
+        telemetry: Some(&mut telemetry),
+    };
+    let mut snapshot = None;
+    for rec in records {
+        fold.apply(rec.at_us, &rec.event).expect("fold");
+        if let JournalEvent::TelemetrySnapshot { jsonl } = &rec.event {
+            snapshot = Some(jsonl.as_str());
+        }
+    }
+    let snapshot = snapshot.expect("journaled telemetry snapshot");
+    let folded = telemetry.to_jsonl();
+    for key in PAIRED_KEYS {
+        assert_eq!(
+            metric_line(&folded, key),
+            metric_line(snapshot, key),
+            "{context}: folded telemetry {key} differs from the live snapshot"
+        );
+    }
+}
+
 /// 20 seeds x {faults off, faults on}: every journal parses strictly,
 /// satisfies all ordering invariants, carries checkpoints, and folds back
-/// into artifacts that byte-match the live run that wrote it.
+/// into artifacts that byte-match the live run that wrote it — the paired
+/// telemetry counters included.
 #[test]
 fn journal_invariants_and_replay_hold_across_twenty_seeds() {
     for seed in 0..20u64 {
@@ -53,6 +108,10 @@ fn journal_invariants_and_replay_hold_across_twenty_seeds() {
                 "seed {seed} point {point:?}: replayed artifacts differ from live run"
             );
             assert_eq!(replay.checkpoints, checkpoints);
+            assert_paired_telemetry_matches(
+                &parsed.records,
+                &format!("seed {seed} point {point:?}"),
+            );
         }
     }
 }
