@@ -285,8 +285,8 @@ fn main() {
     let tp = experiments::fig14::predict_throughput(cli.opts.quick);
     println!(
         "predict throughput: {:.0} rows/s sequential, {:.0} rows/s batched \
-         ({:.2}x, {} thread(s), bit-identical: {})",
-        tp.seq_rows_per_s, tp.batch_rows_per_s, tp.speedup, tp.threads, tp.bitwise_equal
+         ({:.2}x, bit-identical: {})",
+        tp.seq_rows_per_s, tp.batch_rows_per_s, tp.speedup, tp.bitwise_equal
     );
     // Training-kernel throughput: presorted column-major kernel vs the
     // exhaustive reference split search, same forest from the same seed.
@@ -334,7 +334,6 @@ fn main() {
                 .field("seq_rows_per_s", tp.seq_rows_per_s)
                 .field("batch_rows_per_s", tp.batch_rows_per_s)
                 .field("speedup", tp.speedup)
-                .field("threads", tp.threads)
                 .field("bitwise_equal", tp.bitwise_equal),
         )
         .field(

@@ -50,8 +50,8 @@ pub fn spatial_utilization_code(w: &ColoWorkload, num_servers: usize) -> Vec<[f6
     to_rows(&flat)
 }
 
-/// Append `U_w` row-major to `out` — the allocation-free form the batch
-/// featurizer uses. Per-server aggregation sums the cached function means
+/// Append `U_w` row-major to `out` — the allocation-free form
+/// [`crate::featurize_into`] uses. Per-server aggregation sums the cached function means
 /// in function order and scales by the reciprocal count, the exact fold
 /// of [`metricsd::MetricVector::mean_of`], so the values written are
 /// bit-identical to [`spatial_utilization_code`].

@@ -39,15 +39,6 @@ pub fn featurize(scenario: &Scenario, config: &CodingConfig) -> Vec<f64> {
 /// at the paper's coding) on every predictor call. The contents written are
 /// identical to [`featurize`]'s return value.
 pub fn featurize_into(scenario: &Scenario, config: &CodingConfig, out: &mut Vec<f64>) {
-    out.clear();
-    featurize_append(scenario, config, out);
-}
-
-/// Append one scenario's feature row to `out` without clearing it — the
-/// primitive batch featurization builds on: appending `n` scenarios yields
-/// one contiguous row-major buffer of `n × feature_dim` values, ready for
-/// the forest's row-major batch kernel with no per-row allocation.
-pub fn featurize_append(scenario: &Scenario, config: &CodingConfig, out: &mut Vec<f64>) {
     assert!(
         scenario.len() <= config.max_workloads,
         "scenario has {} workloads, coding allows {}",
@@ -60,7 +51,7 @@ pub fn featurize_append(scenario: &Scenario, config: &CodingConfig, out: &mut Ve
         scenario.num_servers,
         config.num_servers
     );
-    let start = out.len();
+    out.clear();
     out.reserve(feature_dim(config));
     let per_slot = 2 * config.num_servers * NUM_SELECTED;
     for w in scenario.workloads() {
@@ -68,7 +59,7 @@ pub fn featurize_append(scenario: &Scenario, config: &CodingConfig, out: &mut Ve
         spatial_allocation_code_into(w, config.num_servers, out);
     }
     // Zero-pad the unused slots.
-    out.resize(start + config.max_workloads * per_slot, 0.0);
+    out.resize(config.max_workloads * per_slot, 0.0);
     // Temporal code, written in place (no temporary vectors).
     let base = out.len();
     out.resize(base + 2 * config.max_workloads, 0.0);
@@ -76,7 +67,7 @@ pub fn featurize_append(scenario: &Scenario, config: &CodingConfig, out: &mut Ve
         out[base + i] = w.start_delay_s;
         out[base + config.max_workloads + i] = w.lifetime_s;
     }
-    debug_assert_eq!(out.len() - start, feature_dim(config));
+    debug_assert_eq!(out.len(), feature_dim(config));
 }
 
 /// Map a feature index back to the metric column it encodes, if it lies in

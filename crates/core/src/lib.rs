@@ -45,7 +45,7 @@ pub mod sla;
 
 pub use coding::{interference_kind, CodingConfig, InterferenceKind};
 pub use compress::CompressedPredictor;
-pub use features::{feature_dim, featurize, featurize_append, featurize_into};
+pub use features::{feature_dim, featurize, featurize_into};
 pub use predictor::{GsightConfig, GsightPredictor, QosTarget};
 pub use scenario::{ColoWorkload, Scenario};
 pub use sla::LatencyIpcCurve;

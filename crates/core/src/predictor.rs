@@ -12,13 +12,10 @@
 //!    [`GsightPredictor::observe`], incrementally refining the model.
 
 use crate::coding::CodingConfig;
-use crate::features::{
-    feature_dim, featurize, featurize_append, featurize_into, metric_of_feature,
-};
+use crate::features::{feature_dim, featurize, featurize_into, metric_of_feature};
 use crate::scenario::Scenario;
 use metricsd::{Metric, NUM_SELECTED};
 use mlcore::{Dataset, IncrementalModel, IncrementalParams, ModelKind};
-use simcore::par;
 
 /// Which QoS value the predictor outputs for the target workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,73 +132,28 @@ impl GsightPredictor {
         self.model.predict(scratch)
     }
 
-    /// Predict many scenarios in one call.
-    ///
-    /// Scenarios featurize into a contiguous row-major buffer (no per-row
-    /// `Vec` allocation) in cache-resident chunks, each chunk walked by the
-    /// forest's flat batch kernel
-    /// ([`mlcore::RandomForest::predict_batch_rows`]) while its rows are
-    /// still hot — the same featurize→walk locality the sequential loop
-    /// gets for free, without its per-probe allocation. On multi-core
-    /// hosts, large batches fan the chunks out row-parallel (each worker
-    /// fuses featurize + walk for its chunk; chunk order is preserved).
-    /// Results are bit-identical to calling [`predict`](Self::predict) on
-    /// each scenario in order, at any thread count: rows are independent
-    /// and each row's tree-order reduction is unchanged.
+    /// Predict many scenarios in one call: bit-identical to calling
+    /// [`predict`](Self::predict) on each scenario in order.
     pub fn predict_batch(&self, scenarios: &[Scenario]) -> Vec<f64> {
-        let mut rows = Vec::new();
-        self.predict_batch_with_scratch(scenarios, &mut rows)
+        self.predict_batch_with_scratch(scenarios, &mut Vec::new())
     }
 
     /// [`predict_batch`](Self::predict_batch) reusing a caller-owned
-    /// row-major featurization buffer — the allocation-free path for
+    /// featurization scratch buffer — the allocation-free path for
     /// schedulers that batch-probe repeatedly (e.g. consolidation's
-    /// per-move SLA holds). Returns exactly the same values as
-    /// `predict_batch`.
+    /// per-move SLA holds). Each scenario is featurized into `scratch` and
+    /// walked by the model while the row is still cache-hot, exactly as
+    /// [`predict_with_scratch`](Self::predict_with_scratch) does; the
+    /// buffer's prior contents and capacity never affect the result.
     pub fn predict_batch_with_scratch(
         &self,
         scenarios: &[Scenario],
-        rows: &mut Vec<f64>,
+        scratch: &mut Vec<f64>,
     ) -> Vec<f64> {
-        if scenarios.is_empty() {
-            return Vec::new();
-        }
-        // Chunk so a chunk's rows still sit in cache when the tree walk
-        // reads them back: featurizing the whole batch first and walking it
-        // afterwards re-reads every row cold, which measures *slower* than
-        // the fused sequential loop at one thread.
-        const CHUNK_BYTES: usize = 1 << 17; // 128 KiB of row data
-        let dim = self.feature_dim();
-        let chunk_rows = (CHUNK_BYTES / (dim.max(1) * std::mem::size_of::<f64>())).max(1);
-        let workers = par::available_workers();
-        if workers > 1 && scenarios.len() >= 2 * chunk_rows {
-            // Row-parallel: whole chunks per worker, results re-joined in
-            // chunk order. Each worker owns a private scratch; the caller's
-            // buffer is untouched on this path.
-            let chunks: Vec<&[Scenario]> = scenarios.chunks(chunk_rows).collect();
-            let per_chunk: Vec<Vec<f64>> = par::par_map_workers(chunks, workers, |chunk| {
-                let mut local = Vec::with_capacity(chunk.len() * dim);
-                for s in chunk {
-                    featurize_append(s, &self.config.coding, &mut local);
-                }
-                self.model.predict_batch_rows(&local, chunk.len())
-            });
-            per_chunk.concat()
-        } else {
-            // Single-thread: fuse featurize → walk per row through one
-            // reused scratch buffer. The row is L1-hot when the forest
-            // reads it — the same locality the sequential loop gets — and
-            // the only cost dropped is `predict`'s per-row feature-vector
-            // allocation, which is why batch beats sequential here instead
-            // of merely matching it.
-            scenarios
-                .iter()
-                .map(|s| {
-                    featurize_into(s, &self.config.coding, rows);
-                    self.model.predict(rows)
-                })
-                .collect()
-        }
+        scenarios
+            .iter()
+            .map(|s| self.predict_with_scratch(s, scratch))
+            .collect()
     }
 
     /// Record an observed outcome; fires an incremental update every
@@ -230,35 +182,6 @@ impl GsightPredictor {
             data.push(&featurize(s, &self.config.coding), *y);
         }
         self.model.update(&data);
-    }
-
-    /// [`predict`](Self::predict) with wall-clock profiling: the call is
-    /// recorded under the `"predictor.predict"` stage (Fig. 14's inference
-    /// cost).
-    pub fn predict_profiled(&self, scenario: &Scenario, prof: &mut obs::WallProfiler) -> f64 {
-        prof.time("predictor.predict", || self.predict(scenario))
-    }
-
-    /// [`predict_batch`](Self::predict_batch) with wall-clock profiling,
-    /// recorded under the `"predictor.predict_batch"` stage (one sample per
-    /// batch, whole-batch wall time).
-    pub fn predict_batch_profiled(
-        &self,
-        scenarios: &[Scenario],
-        prof: &mut obs::WallProfiler,
-    ) -> Vec<f64> {
-        prof.time("predictor.predict_batch", || self.predict_batch(scenarios))
-    }
-
-    /// Incremental update with wall-clock profiling, recorded under the
-    /// `"predictor.partial_fit"` stage (Fig. 14's update cost). Equivalent
-    /// to [`update_batch`](Self::update_batch).
-    pub fn partial_fit_profiled(
-        &mut self,
-        samples: &[(Scenario, f64)],
-        prof: &mut obs::WallProfiler,
-    ) {
-        prof.time("predictor.partial_fit", || self.update_batch(samples));
     }
 
     /// Total samples absorbed.
@@ -451,6 +374,11 @@ mod tests {
             .map(|s| p.predict_with_scratch(s, &mut scratch))
             .collect();
         assert_eq!(scratched, seq);
+        // A reused buffer holding a full row of unrelated values, with
+        // spare capacity, must not leak into any prediction.
+        let mut dirty: Vec<f64> = Vec::with_capacity(3 * p.feature_dim() + 17);
+        dirty.extend((0..p.feature_dim()).map(|i| f64::from(i as u32) * -1.5));
+        assert_eq!(p.predict_batch_with_scratch(&probes, &mut dirty), seq);
         assert!(p.predict_batch(&[]).is_empty());
     }
 

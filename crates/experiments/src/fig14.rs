@@ -82,10 +82,10 @@ pub fn predictor_cost_profile(quick: bool) -> (WallProfiler, usize) {
 
     let mut prof = WallProfiler::new();
     for (s, _) in probe.iter().cycle().take(50) {
-        p.predict_profiled(s, &mut prof);
+        prof.time("predictor.predict", || p.predict(s));
     }
     for _ in 0..5 {
-        p.partial_fit_profiled(probe, &mut prof);
+        prof.time("predictor.partial_fit", || p.update_batch(probe));
     }
     let dim = p.feature_dim();
     (prof, dim)
@@ -182,8 +182,6 @@ pub struct PredictThroughput {
     pub speedup: f64,
     /// Whether the batch output matched sequential bit-for-bit.
     pub bitwise_equal: bool,
-    /// Worker threads the batch path had available.
-    pub threads: usize,
 }
 
 /// Measure [`PredictThroughput`]: one warm-up pass, then the same scenario
@@ -192,10 +190,10 @@ pub struct PredictThroughput {
 /// wall time per path is the least-noisy cost estimate on a shared
 /// machine — the same protocol as [`train_throughput_sized`]).
 ///
-/// The batch path featurizes every scenario into one contiguous row-major
-/// buffer and walks the forest's flat inference kernel, so it wins even at
-/// one thread (no per-row allocation); the adaptive dispatcher adds
-/// tree-parallel evaluation on multi-core hosts.
+/// The batch path featurizes each scenario into one reused scratch buffer
+/// and walks the forest's flat inference kernel on it while the row is
+/// cache-hot, on the calling thread; the only cost it drops relative to
+/// `predict` is the per-row feature-vector allocation.
 pub fn predict_throughput(quick: bool) -> PredictThroughput {
     let book = standard_profile_book(SEED, true);
     let cluster = ClusterConfig::paper_testbed();
@@ -219,14 +217,11 @@ pub fn predict_throughput(quick: bool) -> PredictThroughput {
         .collect();
 
     // The batch path is measured as the schedulers drive it: a caller-owned
-    // row-major featurization buffer reused across calls
-    // (`predict_batch_with_scratch`, cf. consolidation's per-move SLA
-    // holds). A fresh `predict_batch` call must allocate the multi-MB
-    // buffer each time, which is pure setup cost the probe loops never pay.
+    // featurization buffer reused across calls (`predict_batch_with_scratch`,
+    // cf. consolidation's per-move SLA holds).
     let mut row_scratch: Vec<f64> = Vec::new();
 
-    // Warm up both paths (scratch growth, branch predictors, and on
-    // multi-core hosts the worker pool).
+    // Warm up both paths (scratch growth, branch predictors).
     let _ = p.predict_batch_with_scratch(&batch, &mut row_scratch);
     for s in &batch[..rows.min(16)] {
         p.predict(s);
@@ -284,7 +279,6 @@ pub fn predict_throughput(quick: bool) -> PredictThroughput {
         batch_rows_per_s,
         speedup: batch_rows_per_s / seq_rows_per_s,
         bitwise_equal: sequential == batched,
-        threads: simcore::par::available_workers(),
     }
 }
 
@@ -496,14 +490,13 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
     ]);
     t.row(vec!["predict_batch".into(), fnum(tp.batch_rows_per_s, 1)]);
     result.table(format!(
-        "(c) prediction throughput, {} rows, {} thread(s)\n{}",
+        "(c) prediction throughput, {} rows\n{}",
         tp.rows,
-        tp.threads,
         t.render()
     ));
     result.note(format!(
-        "predict_batch speedup {:.2}x over sequential ({} threads), bit-identical: {}",
-        tp.speedup, tp.threads, tp.bitwise_equal
+        "predict_batch speedup {:.2}x over sequential, bit-identical: {}",
+        tp.speedup, tp.bitwise_equal
     ));
 
     // ---- measured scheduler probe latency ----
@@ -561,7 +554,6 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         .metric("seq_rows_per_s", tp.seq_rows_per_s)
         .metric("batch_rows_per_s", tp.batch_rows_per_s)
         .metric("batch_speedup", tp.speedup)
-        .metric("batch_threads", tp.threads as f64)
         .metric(
             "batch_bitwise_equal",
             if tp.bitwise_equal { 1.0 } else { 0.0 },
@@ -598,8 +590,8 @@ mod tests {
         assert!(tp.seq_rows_per_s.is_finite() && tp.seq_rows_per_s > 0.0);
         assert!(tp.batch_rows_per_s.is_finite() && tp.batch_rows_per_s > 0.0);
         assert!(tp.speedup.is_finite() && tp.speedup > 0.0);
-        // No wall-clock speedup assertion: the figure scales with core
-        // count and CI hosts may expose a single core.
+        // No wall-clock speedup assertion: debug-build codegen distorts the
+        // two paths differently; the release CI gate checks it.
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! determinism rule the workspace follows everywhere).
 
 use crate::dataset::{ColumnStore, Dataset};
-use crate::flat::{FlatForest, BLOCK_ROWS};
+use crate::flat::FlatForest;
 use crate::reference;
 use crate::tree::{RegressionTree, TreeParams};
-use simcore::par::{available_workers, par_map, par_map_range, par_map_workers};
+use simcore::par::{available_workers, par_map, par_map_range};
 use simcore::rng::seed_stream;
 use simcore::SimRng;
 
@@ -66,21 +66,6 @@ pub struct RandomForest {
     dim: usize,
     backend: TrainBackend,
 }
-
-/// Minimum number of tree walks (`rows × trees`) in a batch before the
-/// dispatcher fans out tree-parallel workers. Below this, thread wake-up
-/// and per-tree column allocation cost more than the walks themselves, so
-/// the batch runs on the inline row-major path — which is how "batch is
-/// never slower than sequential" holds at every (rows, workers) point.
-const PAR_PREDICT_WORK: usize = 1 << 13;
-
-/// Minimum flat-forest node count before the inline batch path switches
-/// from the per-row early-exit walk to the blocked level-stepped walk.
-/// Below this the whole node arrays fit in L1 (~20 bytes/node), node loads
-/// never stall, and the blocked walk's fixed-depth stepping is pure
-/// overhead; above it the walk is load-latency-bound and overlapping
-/// [`BLOCK_ROWS`] independent root-to-leaf chains wins.
-const BLOCKED_MIN_NODES: usize = 1 << 11;
 
 /// Worker threads left for within-tree feature parallelism once `jobs`
 /// tree-level jobs are running: the kernel's inner parallelism only fans
@@ -170,115 +155,10 @@ impl RandomForest {
         self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Predict many rows at once (adaptive dispatch over
-    /// [`available_workers`]).
-    ///
-    /// Small batches run the inline row-major flat walk; large ones
-    /// parallelise over trees (tree-major order keeps a tree's nodes hot in
-    /// cache) with the per-tree columns reduced *in tree order* — the exact
-    /// summation order of [`predict`](Self::predict) — so the result is
-    /// bit-identical to calling `predict` per row at any (rows, workers)
-    /// point. Prefer [`predict_batch_rows`](Self::predict_batch_rows) at
-    /// call sites that can lay rows out contiguously.
+    /// Predict many rows at once: [`predict`](Self::predict) per row, in
+    /// order, so every result is bit-identical to the single-row walk.
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        self.predict_batch_workers(rows, available_workers())
-    }
-
-    /// [`predict_batch`](Self::predict_batch) with an explicit worker cap
-    /// (`1` runs inline) — the hook the determinism tests pin. The
-    /// adaptive dispatcher may still run inline below the work threshold;
-    /// that never changes results, only scheduling.
-    pub fn predict_batch_workers(&self, rows: &[Vec<f64>], workers: usize) -> Vec<f64> {
-        for x in rows {
-            debug_assert_eq!(x.len(), self.dim, "feature dimension mismatch");
-        }
-        self.predict_batch_impl(rows.len(), |i| rows[i].as_slice(), workers)
-    }
-
-    /// Predict `n_rows` rows stored contiguously row-major in `data`
-    /// (`data.len() == n_rows * dim`), with adaptive dispatch. This is the
-    /// allocation-free batch entry point: probe sites featurize into one
-    /// flat buffer instead of a `Vec<Vec<f64>>`.
-    pub fn predict_batch_rows(&self, data: &[f64], n_rows: usize) -> Vec<f64> {
-        self.predict_batch_rows_workers(data, n_rows, available_workers())
-    }
-
-    /// [`predict_batch_rows`](Self::predict_batch_rows) with an explicit
-    /// worker cap.
-    pub fn predict_batch_rows_workers(
-        &self,
-        data: &[f64],
-        n_rows: usize,
-        workers: usize,
-    ) -> Vec<f64> {
-        assert_eq!(
-            data.len(),
-            n_rows * self.dim,
-            "row-major batch length mismatch"
-        );
-        let dim = self.dim;
-        self.predict_batch_impl(n_rows, |i| &data[i * dim..(i + 1) * dim], workers)
-    }
-
-    /// Shared batch core: adaptive dispatch across three tiers — per-row
-    /// early-exit walk (small forests), blocked level-stepped walk (large
-    /// forests, [`BLOCKED_MIN_NODES`]), and tree-parallel column reduction
-    /// (enough work for threads, [`PAR_PREDICT_WORK`]) — all over the flat
-    /// kernel and all folding in tree order (bit-identical).
-    fn predict_batch_impl<'d, F>(&self, n_rows: usize, row: F, workers: usize) -> Vec<f64>
-    where
-        F: Fn(usize) -> &'d [f64] + Sync,
-    {
-        if n_rows == 0 {
-            return Vec::new();
-        }
-        debug_assert!(!self.trees.is_empty(), "predict on an empty forest");
-        let n_trees = self.trees.len();
-        let mut out = vec![0.0; n_rows];
-        if workers <= 1 || n_rows * n_trees < PAR_PREDICT_WORK {
-            if self.flat.num_nodes() < BLOCKED_MIN_NODES || n_rows < BLOCK_ROWS {
-                // Small forest: every node sits in L1, so the per-row
-                // early-exit walk beats the blocked walk's fixed-depth
-                // stepping. Same story below one full block of rows —
-                // a short block has too few independent chains to hide
-                // node-load latency, so the fixed-depth stepping is all
-                // cost and no overlap.
-                for (i, acc) in out.iter_mut().enumerate() {
-                    *acc = self.flat.sum_trees(row(i));
-                }
-            } else {
-                // Large forest: node fetches miss cache and the walk is
-                // latency-bound, so up to BLOCK_ROWS rows advance through
-                // each tree level-by-level, overlapping their dependent
-                // node loads; terms still add in tree order per row.
-                let mut start = 0;
-                while start < n_rows {
-                    let r = BLOCK_ROWS.min(n_rows - start);
-                    let mut refs: [&[f64]; BLOCK_ROWS] = [&[]; BLOCK_ROWS];
-                    for (k, slot) in refs[..r].iter_mut().enumerate() {
-                        *slot = row(start + k);
-                    }
-                    self.flat.sum_block(&refs[..r], &mut out[start..start + r]);
-                    start += r;
-                }
-            }
-        } else {
-            let per_tree: Vec<Vec<f64>> = par_map_workers((0..n_trees).collect(), workers, |t| {
-                (0..n_rows)
-                    .map(|i| self.flat.predict_tree(t, row(i)))
-                    .collect()
-            });
-            for col in &per_tree {
-                for (acc, &v) in out.iter_mut().zip(col) {
-                    *acc += v;
-                }
-            }
-        }
-        let n = n_trees as f64;
-        for acc in &mut out {
-            *acc /= n;
-        }
-        out
+        rows.iter().map(|x| self.predict(x)).collect()
     }
 
     /// Replace the `k` stalest trees with trees trained on the current
@@ -472,10 +352,6 @@ mod tests {
         let f = RandomForest::fit(&train, ForestParams::default(), 23);
         let rows = probe_rows(37, 24);
         let seq: Vec<f64> = rows.iter().map(|x| f.predict(x)).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            let batch = f.predict_batch_workers(&rows, workers);
-            assert_eq!(batch, seq, "workers = {workers}");
-        }
         assert_eq!(f.predict_batch(&rows), seq);
         assert!(f.predict_batch(&[]).is_empty());
     }
@@ -505,7 +381,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty forest")]
     fn empty_forest_predict_batch_panics_in_debug() {
-        let _ = empty_forest().predict_batch_rows(&[1.0, 2.0, 3.0], 1);
+        let _ = empty_forest().predict_batch(&[vec![1.0, 2.0, 3.0]]);
     }
 
     #[test]
@@ -513,7 +389,6 @@ mod tests {
         // Zero rows never touches a tree, so it is defined (and empty)
         // even on the degenerate forest.
         assert!(empty_forest().predict_batch(&[]).is_empty());
-        assert!(empty_forest().predict_batch_rows(&[], 0).is_empty());
     }
 
     #[test]
@@ -528,8 +403,6 @@ mod tests {
         }
         let rows = probe_rows(29, 31);
         let seq: Vec<f64> = rows.iter().map(|x| f.predict(x)).collect();
-        for workers in [1, 2, 5, 16] {
-            assert_eq!(f.predict_batch_workers(&rows, workers), seq);
-        }
+        assert_eq!(f.predict_batch(&rows), seq);
     }
 }

@@ -245,39 +245,10 @@ impl IncrementalModel {
         }
     }
 
-    /// Predict many rows at once. For IRFR this dispatches to the forest's
-    /// tree-parallel [`RandomForest::predict_batch`], whose results are
-    /// bit-identical to per-row [`predict`](Self::predict); the other
-    /// families fall back to a per-row loop (their predictions are cheap
-    /// enough that batching buys nothing).
+    /// Predict many rows at once: [`predict`](Self::predict) per row, in
+    /// order, for every model kind (bit-identical to the single-row path).
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        match &self.inner {
-            Inner::Irfr(Some(f)) => f.predict_batch(rows),
-            _ => rows.iter().map(|x| self.predict(x)).collect(),
-        }
-    }
-
-    /// Predict `n_rows` rows stored contiguously row-major in `data`
-    /// (`data.len() == n_rows * dim`) — the allocation-free batch entry
-    /// point. For IRFR this reaches the forest's flat inference kernel
-    /// directly ([`RandomForest::predict_batch_rows`]); other families
-    /// loop over the row slices. Bit-identical to per-row
-    /// [`predict`](Self::predict) in every case.
-    pub fn predict_batch_rows(&self, data: &[f64], n_rows: usize) -> Vec<f64> {
-        assert_eq!(
-            data.len(),
-            n_rows * self.params.dim,
-            "row-major batch length mismatch"
-        );
-        match &self.inner {
-            Inner::Irfr(Some(f)) => f.predict_batch_rows(data, n_rows),
-            _ => {
-                let dim = self.params.dim;
-                (0..n_rows)
-                    .map(|i| self.predict(&data[i * dim..(i + 1) * dim]))
-                    .collect()
-            }
-        }
+        rows.iter().map(|x| self.predict(x)).collect()
     }
 
     /// The underlying forest (IRFR only, after the first fit) — exposed so

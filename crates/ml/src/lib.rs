@@ -13,9 +13,9 @@
 //!   parallel training, averaged impurity importances) — the paper's
 //!   chosen model (RFR/IRFR).
 //! * [`flat`] — the flattened branchless SoA inference kernel fitted
-//!   forests compile into; prediction (single-row and adaptive batch)
-//!   runs on it, with the enum walker retained as the bit-identity
-//!   oracle.
+//!   forests compile into; every prediction (single-row and batch, one
+//!   row at a time) runs on it, with the enum walker retained as the
+//!   bit-identity oracle.
 //! * [`knn`] — k-nearest-neighbours regression.
 //! * [`linear`] — ridge regression trained by mini-batch SGD (the paper's
 //!   "LR" comparator).

@@ -2,14 +2,14 @@
 //!
 //! The flattened branchless kernel (`mlcore::flat`) must predict
 //! *bit-identically* to the retained enum walker
-//! (`RandomForest::predict_reference`) — for any seed, any worker count,
-//! at every point of the incremental lifecycle (including after
-//! stalest-tree refreshes recompile the flat forest), and under degenerate
-//! float values (NaN / ±0 / ±inf features and the NaN thresholds that
-//! ±inf training values induce). A final dispatch property pins the
-//! tentpole's contract: the batch entry points are never materially slower
-//! than the sequential walk at any (rows, workers) shape, on either side
-//! of the blocked-walk threshold.
+//! (`RandomForest::predict_reference`) — for any seed, at every point of
+//! the incremental lifecycle (including after stalest-tree refreshes
+//! recompile the flat forest), and under degenerate float values (NaN / ±0
+//! / ±inf features and the NaN thresholds that ±inf training values
+//! induce), through both the single-row and the batch entry point. A final
+//! property pins that the batch entry point is never materially slower
+//! than the sequential walk at any batch size, on a small and a large
+//! forest.
 
 use mlcore::{Dataset, ForestParams, RandomForest};
 use simcore::SimRng;
@@ -17,8 +17,6 @@ use simcore::SimRng;
 const SEEDS: [u64; 20] = [
     1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765, 10946,
 ];
-
-const WORKER_COUNTS: [usize; 4] = [1, 2, 8, 64];
 
 /// Paper-shaped corpus: a dense informative block, heavy zero padding,
 /// quantised ties.
@@ -44,10 +42,6 @@ fn probe_rows(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn flatten(rows: &[Vec<f64>]) -> Vec<f64> {
-    rows.iter().flatten().copied().collect()
-}
-
 /// Bitwise comparison that treats every NaN payload as distinct — the
 /// strictest possible equality.
 fn assert_bits_eq(a: &[f64], b: &[f64], ctx: &str) {
@@ -57,20 +51,14 @@ fn assert_bits_eq(a: &[f64], b: &[f64], ctx: &str) {
     }
 }
 
-/// Reference predictions (enum walker) and every flat path — single-row,
-/// Vec-of-rows batch, row-major batch — must agree bitwise at every worker
-/// count.
+/// Reference predictions (enum walker) and both flat paths — single-row
+/// and batch — must agree bitwise.
 fn assert_forest_paths_agree(f: &RandomForest, probes: &[Vec<f64>], ctx: &str) {
     let reference: Vec<f64> = probes.iter().map(|x| f.predict_reference(x)).collect();
     let single: Vec<f64> = probes.iter().map(|x| f.predict(x)).collect();
     assert_bits_eq(&single, &reference, &format!("{ctx}: predict"));
-    let flat = flatten(probes);
-    for &w in &WORKER_COUNTS {
-        let batch = f.predict_batch_workers(probes, w);
-        assert_bits_eq(&batch, &reference, &format!("{ctx}: batch w={w}"));
-        let rows = f.predict_batch_rows_workers(&flat, probes.len(), w);
-        assert_bits_eq(&rows, &reference, &format!("{ctx}: batch_rows w={w}"));
-    }
+    let batch = f.predict_batch(probes);
+    assert_bits_eq(&batch, &reference, &format!("{ctx}: predict_batch"));
 }
 
 #[test]
@@ -82,7 +70,6 @@ fn flat_kernel_bit_identical_across_seeds_and_workers() {
             ..ForestParams::default()
         };
         let f = RandomForest::fit(&data, params, seed);
-        // 33 rows: exercises full blocks plus a ragged tail block.
         let probes = probe_rows(33, 24, seed ^ 0xBEEF);
         assert_forest_paths_agree(&f, &probes, &format!("seed {seed}"));
     }
@@ -157,14 +144,12 @@ fn degenerate_values_route_bit_identically() {
     }
 }
 
-/// The tentpole's dispatch contract: batch prediction is never materially
-/// slower than the sequential per-row walk, at every (rows, workers) shape,
-/// for a forest on each side of the blocked-walk node threshold. Results
-/// are asserted bit-identical at every shape unconditionally; the
-/// throughput bound only runs in release builds (debug codegen distorts
-/// the paths differently) with a 25% tolerance to absorb scheduler noise
-/// while still catching a real regression (the pre-fix batch path was
-/// 1.3–3× slower at these shapes).
+/// Batch prediction is never materially slower than the sequential
+/// per-row walk, at every batch size, on a forest small enough to sit in
+/// L1 and on a paper-sized one. Results are asserted bit-identical at every
+/// shape unconditionally; the throughput bound only runs in release builds
+/// (debug codegen distorts the paths differently) with a 25% tolerance to
+/// absorb scheduler noise while still catching a real regression.
 #[test]
 fn adaptive_dispatch_batch_never_materially_slower() {
     let small = RandomForest::fit(
@@ -181,51 +166,42 @@ fn adaptive_dispatch_batch_never_materially_slower() {
     for (forest, dim, label) in [(&small, 16, "small"), (&big, 16, "big")] {
         for rows_n in [1usize, 8, 64, 512] {
             let probes = probe_rows(rows_n, dim, 0xEF ^ rows_n as u64);
-            let flat = flatten(&probes);
             let reference: Vec<f64> = probes.iter().map(|x| forest.predict(x)).collect();
-            for workers in [1usize, 4] {
-                let batch = forest.predict_batch_rows_workers(&flat, rows_n, workers);
-                assert_bits_eq(
-                    &batch,
-                    &reference,
-                    &format!("{label} rows={rows_n} w={workers}"),
-                );
-                if cfg!(debug_assertions) {
-                    continue;
-                }
-                // Interleaved min-of-7 over windows sized to ~512 row
-                // predictions so even the 1-row shape times a real window.
-                let calls = (512 / rows_n).max(1);
-                let mut seq_s = f64::INFINITY;
-                let mut batch_s = f64::INFINITY;
-                for _ in 0..7 {
-                    let t0 = std::time::Instant::now();
-                    for _ in 0..calls {
-                        for x in &probes {
-                            std::hint::black_box(forest.predict(x));
-                        }
-                    }
-                    seq_s = seq_s.min(t0.elapsed().as_secs_f64());
-                    let t0 = std::time::Instant::now();
-                    for _ in 0..calls {
-                        std::hint::black_box(
-                            forest.predict_batch_rows_workers(&flat, rows_n, workers),
-                        );
-                    }
-                    batch_s = batch_s.min(t0.elapsed().as_secs_f64());
-                }
-                // Fixed per-call allowance: a batch call heap-allocates its
-                // result Vec, which the sequential walk never pays; at the
-                // 1-row shape on a cache-resident forest that allocation IS
-                // the entire difference, so it cannot be covered by a
-                // relative tolerance alone.
-                let alloc_allowance = calls as f64 * 2e-7;
-                assert!(
-                    batch_s <= seq_s * 1.25 + alloc_allowance,
-                    "{label} rows={rows_n} w={workers}: batch {batch_s:.6}s vs sequential \
-                     {seq_s:.6}s exceeds the 25% dispatch tolerance"
-                );
+            let batch = forest.predict_batch(&probes);
+            assert_bits_eq(&batch, &reference, &format!("{label} rows={rows_n}"));
+            if cfg!(debug_assertions) {
+                continue;
             }
+            // Interleaved min-of-7 over windows sized to ~512 row
+            // predictions so even the 1-row shape times a real window.
+            let calls = (512 / rows_n).max(1);
+            let mut seq_s = f64::INFINITY;
+            let mut batch_s = f64::INFINITY;
+            for _ in 0..7 {
+                let t0 = std::time::Instant::now();
+                for _ in 0..calls {
+                    for x in &probes {
+                        std::hint::black_box(forest.predict(x));
+                    }
+                }
+                seq_s = seq_s.min(t0.elapsed().as_secs_f64());
+                let t0 = std::time::Instant::now();
+                for _ in 0..calls {
+                    std::hint::black_box(forest.predict_batch(&probes));
+                }
+                batch_s = batch_s.min(t0.elapsed().as_secs_f64());
+            }
+            // Fixed per-call allowance: a batch call heap-allocates its
+            // result Vec, which the sequential walk never pays; at the
+            // 1-row shape on a cache-resident forest that allocation IS
+            // the entire difference, so it cannot be covered by a
+            // relative tolerance alone.
+            let alloc_allowance = calls as f64 * 2e-7;
+            assert!(
+                batch_s <= seq_s * 1.25 + alloc_allowance,
+                "{label} rows={rows_n}: batch {batch_s:.6}s vs sequential \
+                 {seq_s:.6}s exceeds the 25% tolerance"
+            );
         }
     }
 }

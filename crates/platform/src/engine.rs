@@ -161,7 +161,6 @@ struct RequestState {
     nested_pending: Vec<u32>,
     node_task: Vec<Option<usize>>,
     nodes_remaining: usize,
-    done: bool,
     /// Current delivery attempt (0 = first try). Bumped on every abort so
     /// in-flight forwards/timeouts of the old attempt become stale.
     attempt: u32,
@@ -639,7 +638,6 @@ impl Simulation {
             nested_pending: vec![0; nodes],
             node_task: vec![None; nodes],
             nodes_remaining: nodes,
-            done: false,
             attempt: 0,
             outcome: None,
         });
@@ -653,7 +651,6 @@ impl Simulation {
         {
             let r = &mut self.requests[req as usize];
             r.outcome = Some(Outcome::Shed);
-            r.done = true;
             self.emit(now, JournalEvent::Shed { wl: wl as u32, req });
             self.log_fault(now, "shed", req as i64, self.gateway.depth() as f64);
             return;
@@ -1106,7 +1103,7 @@ impl Simulation {
         let finished_request = {
             let r = &mut self.requests[req as usize];
             r.nodes_remaining -= 1;
-            r.nodes_remaining == 0 && !r.done
+            r.nodes_remaining == 0 && r.outcome.is_none()
         };
         if let Some(parent) = nested_parent {
             let parent_done = {
@@ -1123,7 +1120,6 @@ impl Simulation {
         }
         if finished_request {
             let r = &mut self.requests[req as usize];
-            r.done = true;
             r.outcome = Some(Outcome::Completed);
             let arrival = r.arrival;
             let e2e = now.since(arrival).as_millis();
@@ -1703,7 +1699,6 @@ impl Simulation {
         } else {
             let r = &mut self.requests[req as usize];
             r.outcome = Some(Outcome::Failed);
-            r.done = true;
             self.emit(
                 now,
                 JournalEvent::Failed {

@@ -35,7 +35,7 @@
 //! # Predictor-call efficiency
 //!
 //! Scheduling cost is dominated by predictor invocations (the Fig. 14
-//! overhead study), so both search paths are built on the batched pipeline:
+//! overhead study), so both search paths keep each predictor call cheap:
 //!
 //! * [`binary_search`] probes reject placements that would overcommit a
 //!   server's CPU headroom before consulting the predictor, and every probe
@@ -43,9 +43,11 @@
 //!   (`GsightPredictor::predict_with_scratch`) instead of allocating a
 //!   fresh `32nS + 2n` vector per call.
 //! * [`reschedule`]'s SLA check gathers all scenario evaluations of one
-//!   hypothetical move into a single `GsightPredictor::predict_batch` call
-//!   and skips SLA entries with no instance on the donor or receiver
-//!   server — the move cannot change their colocation, so their satisfied
+//!   hypothetical move into a single
+//!   `GsightPredictor::predict_batch_with_scratch` call (one fused
+//!   featurize-and-walk per scenario through a reused buffer) and skips
+//!   SLA entries with no instance on the donor or receiver server — the
+//!   move cannot change their colocation, so their satisfied
 //!   prediction stands. Plans are unchanged (batch prediction is
 //!   bit-identical to sequential) while strictly fewer scenario
 //!   evaluations are spent whenever an SLA workload sits away from the

@@ -16,9 +16,10 @@
 //! SLA-bearing workload. Two optimizations cut that cost:
 //!
 //! 1. **Batching** — all per-entry scenarios of one move are gathered into
-//!    a single [`GsightPredictor::predict_batch`] call, which featurizes
-//!    rows in parallel and runs the forest tree-major over the whole batch
-//!    (bit-identical to per-row `predict`).
+//!    a single [`GsightPredictor::predict_batch_with_scratch`] call, which
+//!    runs one fused featurize-and-walk per scenario through a scratch
+//!    buffer the planner reuses across every probed move, so no probe
+//!    allocates a feature row (bit-identical to per-row `predict`).
 //! 2. **Skipping** — under the spatial-overlap interference model, a move
 //!    only changes colocation on the donor and receiver servers; an SLA
 //!    entry with no instance on either server keeps its overlap pattern,
@@ -57,9 +58,9 @@ pub struct ReschedulePlan {
     pub migrations: Vec<Migration>,
     /// Servers left empty if the plan is applied.
     pub freed_servers: Vec<usize>,
-    /// Predictor scenario evaluations spent building the plan (rows fed to
-    /// [`GsightPredictor::predict_batch`], equivalent to single-scenario
-    /// `predict` calls).
+    /// Predictor scenario evaluations spent building the plan: scenarios
+    /// fed to [`GsightPredictor::predict_batch_with_scratch`], each one
+    /// featurize-and-walk, the same work as one `predict` call.
     pub predictor_calls: usize,
 }
 
@@ -105,16 +106,18 @@ fn colo_views(
         .collect()
 }
 
-/// Check every SLA under a hypothetical placement, batching all scenario
-/// evaluations of the move into one `predict_batch` call.
+/// Check every SLA under a hypothetical placement, gathering all scenario
+/// evaluations of the move into one `predict_batch_with_scratch` call (one
+/// fused featurize-and-walk per scenario).
 ///
 /// When `moved` is set, SLA entries with no instance on the donor or
 /// receiver server are skipped: the move does not change colocation on any
 /// server they occupy, so their previously satisfied prediction stands.
 ///
-/// `row_scratch` is the reusable row-major featurization buffer passed to
-/// [`GsightPredictor::predict_batch_with_scratch`]; planners allocate it
-/// once and reuse it across every probed move.
+/// `row_scratch` is the reusable featurization buffer passed to
+/// [`GsightPredictor::predict_batch_with_scratch`]; each scenario's row is
+/// written into it and walked before the next overwrites it. Planners
+/// allocate it once and reuse it across every probed move.
 fn slas_hold(
     predictor: &GsightPredictor,
     entries: &[WorkloadEntry],
