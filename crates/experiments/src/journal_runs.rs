@@ -21,7 +21,7 @@
 //! * **bench** ([`journal_bench`]): measure journaling write overhead and
 //!   replay speedup on the quick-mode chaos point.
 
-use crate::fault_sweep::{chaos_run_with_obs, SweepPoint};
+use crate::fault_sweep::{chaos_run_scaled, chaos_run_with_obs, ChaosOutcome, SweepPoint};
 use obs::journal::{
     check_invariants, checkpoint_violations, read_journal, read_journal_tolerant, MemoryJournal,
 };
@@ -81,6 +81,56 @@ impl Artifacts {
     }
 }
 
+/// Outputs of one journaled chaos run.
+pub struct JournaledRun {
+    /// The run's report and fault log.
+    pub outcome: ChaosOutcome,
+    /// The in-memory journal's bytes.
+    pub bytes: Vec<u8>,
+    /// The live artifacts, which replay must reproduce.
+    pub artifacts: Artifacts,
+    /// Wall time of the journal setup and the run, not counting the copy of
+    /// the bytes out of the journal.
+    pub wall_s: f64,
+}
+
+/// Run one chaos point journaled to memory under a [`fault_sweep_spec`]
+/// header at [`CHECKPOINT_EVERY_US`], with telemetry and a fault log on, on
+/// a topology `scale` times the testbed (see [`chaos_run_scaled`]).
+pub fn journaled_chaos_run(
+    point: SweepPoint,
+    seed: u64,
+    quick: bool,
+    scale: usize,
+) -> JournaledRun {
+    let spec = fault_sweep_spec(point, seed, quick);
+    let t0 = std::time::Instant::now();
+    let journal = MemoryJournal::in_memory(&spec, Some(CHECKPOINT_EVERY_US));
+    let bundle = Obs::telemetry_only()
+        .with_fault_log()
+        .with_journal(Box::new(journal));
+    let (outcome, post) = chaos_run_scaled(point, seed, quick, bundle, scale);
+    let wall_s = t0.elapsed().as_secs_f64();
+    let bytes = post
+        .journal
+        .as_ref()
+        .and_then(|j| j.as_any().downcast_ref::<MemoryJournal>())
+        .map(|j| j.bytes().to_vec())
+        .expect("the in-memory journal survives the run");
+    let artifacts = Artifacts {
+        report_json: outcome.report.render_json(),
+        telemetry_jsonl: post.telemetry.as_ref().map(|t| t.to_jsonl()),
+        faults_jsonl: outcome.faults.to_jsonl(),
+        fault_summary: outcome.faults.summary(),
+    };
+    JournaledRun {
+        outcome,
+        bytes,
+        artifacts,
+        wall_s,
+    }
+}
+
 /// Result of a journal fold.
 #[derive(Debug)]
 pub struct Replay {
@@ -137,7 +187,8 @@ fn header_bool(header: &Json, key: &str) -> Result<bool, String> {
 }
 
 /// Re-execute the run a journal header describes, journaling to memory.
-/// Returns the regenerated journal bytes and the live artifacts. Only
+/// Returns the regenerated journal bytes, whose header is rebuilt from the
+/// spec's fields by [`fault_sweep_spec`], and the live artifacts. Only
 /// `fault_sweep` journals are re-executable (their spec is self-contained);
 /// fig4 journals need the profile book and support replay-by-fold only.
 pub fn rerun_from_header(header: &Json) -> Result<(Vec<u8>, Artifacts), String> {
@@ -157,24 +208,8 @@ pub fn rerun_from_header(header: &Json) -> Result<(Vec<u8>, Artifacts), String> 
     };
     let seed = header_f64(header, "seed")? as u64;
     let quick = header_bool(header, "quick")?;
-    let journal = MemoryJournal::in_memory(header, Some(CHECKPOINT_EVERY_US));
-    let bundle = Obs::telemetry_only()
-        .with_fault_log()
-        .with_journal(Box::new(journal));
-    let (out, post) = chaos_run_with_obs(point, seed, quick, bundle);
-    let bytes = post
-        .journal
-        .as_ref()
-        .and_then(|j| j.as_any().downcast_ref::<MemoryJournal>())
-        .map(|j| j.bytes().to_vec())
-        .ok_or_else(|| "re-executed run lost its in-memory journal".to_string())?;
-    let artifacts = Artifacts {
-        report_json: out.report.render_json(),
-        telemetry_jsonl: post.telemetry.as_ref().map(|t| t.to_jsonl()),
-        faults_jsonl: out.faults.to_jsonl(),
-        fault_summary: out.faults.summary(),
-    };
-    Ok((bytes, artifacts))
+    let run = journaled_chaos_run(point, seed, quick, 1);
+    Ok((run.bytes, run.artifacts))
 }
 
 /// Result of a verified resume.
@@ -289,8 +324,6 @@ pub fn journal_bench() -> JournalBench {
         crash_per_min: 2.0,
         slowdown_per_min: 4.0,
     };
-    let spec = fault_sweep_spec(point, SEED, false);
-
     // Interleave baseline/journaled pairs: even a full run is only a few
     // hundred ms of wall time, so host scheduling noise rivals the
     // journal's cost in any single sample. Each pair runs back to back
@@ -324,27 +357,12 @@ pub fn journal_bench() -> JournalBench {
         let pair_baseline_s = t0.elapsed().as_secs_f64();
         baseline_wall_s = baseline_wall_s.min(pair_baseline_s);
 
-        let t0 = std::time::Instant::now();
-        let journal = MemoryJournal::in_memory(&spec, Some(CHECKPOINT_EVERY_US));
-        let bundle = Obs::telemetry_only()
-            .with_fault_log()
-            .with_journal(Box::new(journal));
-        let (out, post) = chaos_run_with_obs(point, SEED, false, bundle);
-        let pair_journaled_s = t0.elapsed().as_secs_f64();
-        journaled_wall_s = journaled_wall_s.min(pair_journaled_s);
-        pair_overhead_pct.push((pair_journaled_s - pair_baseline_s) / pair_baseline_s * 100.0);
-        bytes = post
-            .journal
-            .as_ref()
-            .and_then(|j| j.as_any().downcast_ref::<MemoryJournal>())
-            .map(|j| j.bytes().to_vec())
-            .expect("in-memory journal survives the run");
-        live = Some(Artifacts {
-            report_json: out.report.render_json(),
-            telemetry_jsonl: post.telemetry.as_ref().map(|t| t.to_jsonl()),
-            faults_jsonl: out.faults.to_jsonl(),
-            fault_summary: out.faults.summary(),
-        });
+        // The helper's timer stops before the journal bytes are copied out.
+        let run = journaled_chaos_run(point, SEED, false, 1);
+        journaled_wall_s = journaled_wall_s.min(run.wall_s);
+        pair_overhead_pct.push((run.wall_s - pair_baseline_s) / pair_baseline_s * 100.0);
+        bytes = run.bytes;
+        live = Some(run.artifacts);
     }
     let live = live.expect("at least one journaled run");
 
@@ -454,25 +472,8 @@ mod tests {
     use super::*;
 
     fn journaled_run(point: SweepPoint, seed: u64) -> (Vec<u8>, Artifacts) {
-        let spec = fault_sweep_spec(point, seed, true);
-        let journal = MemoryJournal::in_memory(&spec, Some(CHECKPOINT_EVERY_US));
-        let bundle = Obs::telemetry_only()
-            .with_fault_log()
-            .with_journal(Box::new(journal));
-        let (out, post) = chaos_run_with_obs(point, seed, true, bundle);
-        let bytes = post
-            .journal
-            .as_ref()
-            .and_then(|j| j.as_any().downcast_ref::<MemoryJournal>())
-            .map(|j| j.bytes().to_vec())
-            .expect("journal bytes");
-        let artifacts = Artifacts {
-            report_json: out.report.render_json(),
-            telemetry_jsonl: post.telemetry.as_ref().map(|t| t.to_jsonl()),
-            faults_jsonl: out.faults.to_jsonl(),
-            fault_summary: out.faults.summary(),
-        };
-        (bytes, artifacts)
+        let run = journaled_chaos_run(point, seed, true, 1);
+        (run.bytes, run.artifacts)
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Observability for the simulated serverless platform.
 //!
 //! Four independent facilities, all **nullable**: every producer site in the
-//! platform/scheduler checks a cheap `enabled()` flag first, so a run with
-//! observability off pays one branch per site and allocates nothing.
+//! platform/scheduler first checks whether its sink is present, so a run
+//! with observability off pays one branch per site and allocates nothing.
 //!
 //! * [`trace`] — sim-time request tracing. Each invocation becomes a span
 //!   tree (gateway forward → queue wait → cold start → phase execution →
-//!   nested/async downstream calls) recorded through the [`trace::TraceSink`]
-//!   trait and exportable as Chrome trace-event JSON that Perfetto and
+//!   nested/async downstream calls) recorded into a [`trace::MemorySink`]
+//!   and exportable as Chrome trace-event JSON that Perfetto and
 //!   `chrome://tracing` load directly.
 //! * [`telemetry`] — a registry of named counters, gauges and log-bucket
 //!   histograms (queue depth, cold starts, autoscaler actions, contention
@@ -37,13 +37,13 @@ pub use journal::{JournalEvent, JournalSink, JournalStats};
 pub use profile::WallProfiler;
 pub use prom::PromHub;
 pub use telemetry::Telemetry;
-pub use trace::{MemorySink, NullSink, SpanRecord, TraceSink, Track};
+pub use trace::{MemorySink, SpanRecord, Track};
 
 /// The bundle of sinks a simulation carries. `Obs::off()` is the default:
-/// a [`NullSink`] trace (whose `enabled()` is `false`) and no telemetry.
+/// every sink absent.
 pub struct Obs {
-    /// Span sink; [`NullSink`] when tracing is off.
-    pub trace: Box<dyn TraceSink>,
+    /// Span sink; `None` when tracing is off.
+    pub trace: Option<MemorySink>,
     /// Metric registry; `None` when telemetry is off.
     pub telemetry: Option<Telemetry>,
     /// Fault/recovery event log; `None` unless a chaos run asked for it.
@@ -58,7 +58,7 @@ impl Obs {
     /// Observability fully off — the zero-overhead default.
     pub fn off() -> Self {
         Self {
-            trace: Box::new(NullSink),
+            trace: None,
             telemetry: None,
             faults: None,
             journal: None,
@@ -69,7 +69,7 @@ impl Obs {
     /// Tracing into an in-memory sink, telemetry on.
     pub fn recording() -> Self {
         Self {
-            trace: Box::new(MemorySink::new()),
+            trace: Some(MemorySink::new()),
             telemetry: Some(Telemetry::new()),
             ..Self::off()
         }
@@ -104,14 +104,14 @@ impl Obs {
         self
     }
 
-    /// Whether the span sink is live.
+    /// Whether spans are being recorded.
     pub fn tracing(&self) -> bool {
-        self.trace.enabled()
+        self.trace.is_some()
     }
 
-    /// The in-memory sink, when that is what `trace` is.
+    /// The span sink, when tracing is on.
     pub fn memory_sink(&self) -> Option<&MemorySink> {
-        self.trace.as_any().downcast_ref::<MemorySink>()
+        self.trace.as_ref()
     }
 }
 

@@ -11,13 +11,12 @@
 //! nests cleanly — a property the schema tests check via
 //! [`nesting_violations`].
 //!
-//! Producers go through the [`TraceSink`] trait and must gate any work on
-//! [`TraceSink::enabled`]; [`NullSink`] answers `false` so an uninstrumented
-//! run pays one virtual call per site at most.
+//! Producers hold the sink as an `Option<MemorySink>` (see `Obs::trace`)
+//! and build records only when it is `Some`, so an uninstrumented run pays
+//! one branch per site.
 
 use crate::json::Json;
 use simcore::SimTime;
-use std::any::Any;
 use std::collections::BTreeMap;
 
 /// Where a span lives: Chrome `pid` (request) and `tid` (lane).
@@ -61,33 +60,6 @@ pub struct SpanRecord {
     pub args: Vec<(&'static str, Json)>,
 }
 
-/// Consumer of trace records.
-pub trait TraceSink {
-    /// Whether producers should bother building records at all.
-    fn enabled(&self) -> bool;
-    /// Record a closed span.
-    fn span(&mut self, span: SpanRecord);
-    /// Give a track a human-readable process/thread name.
-    fn name_track(&mut self, track: Track, process: &str, lane: &str);
-    /// Downcast support (`Obs::memory_sink`).
-    fn as_any(&self) -> &dyn Any;
-}
-
-/// The disabled sink: `enabled()` is `false` and every record is dropped.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn span(&mut self, _span: SpanRecord) {}
-    fn name_track(&mut self, _track: Track, _process: &str, _lane: &str) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 /// In-memory sink with Chrome trace-event export.
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
@@ -105,6 +77,24 @@ impl MemorySink {
     /// All recorded spans, in recording order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
+    }
+
+    /// Record a closed span.
+    pub fn span(&mut self, span: SpanRecord) {
+        debug_assert!(
+            span.end >= span.start,
+            "span '{}' ends before it starts",
+            span.name
+        );
+        self.spans.push(span);
+    }
+
+    /// Give a track a human-readable process/thread name (the first name
+    /// given to a track wins).
+    pub fn name_track(&mut self, track: Track, process: &str, lane: &str) {
+        self.names
+            .entry((track.pid, track.tid))
+            .or_insert_with(|| (process.to_string(), lane.to_string()));
     }
 
     /// Spans with a given category, in recording order.
@@ -143,28 +133,6 @@ impl MemorySink {
             .field("traceEvents", Json::Arr(events))
             .field("displayTimeUnit", "ms")
             .render()
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn span(&mut self, span: SpanRecord) {
-        debug_assert!(
-            span.end >= span.start,
-            "span '{}' ends before it starts",
-            span.name
-        );
-        self.spans.push(span);
-    }
-    fn name_track(&mut self, track: Track, process: &str, lane: &str) {
-        self.names
-            .entry((track.pid, track.tid))
-            .or_insert_with(|| (process.to_string(), lane.to_string()));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -235,9 +203,14 @@ mod tests {
 
     #[test]
     fn null_sink_disabled() {
-        let mut sink = NullSink;
-        assert!(!sink.enabled());
-        sink.span(span(Track::request(1), "x", 0, 10)); // dropped
+        // Tracing off is the absent sink: a producer gated on it records
+        // nothing and there is nothing to export.
+        let mut obs = crate::Obs::off();
+        assert!(!obs.tracing());
+        if let Some(sink) = obs.trace.as_mut() {
+            sink.span(span(Track::request(1), "x", 0, 10));
+        }
+        assert!(obs.memory_sink().is_none());
     }
 
     #[test]

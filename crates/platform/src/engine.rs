@@ -253,8 +253,7 @@ pub struct Simulation {
     obs: Obs,
     /// Optional per-workload e2e SLA (ms), for the `sla.violations` counter.
     sla_ms: Vec<Option<f64>>,
-    /// Fault injector; `None` (the default) leaves every code path on the
-    /// fault-free fast track, bit-identical to a build without faults.
+    /// Fault injector; `None` (the default) schedules no fault ticks.
     faults: Option<FaultInjector>,
     /// Degradation policy (timeout/retry/shed); default fully disabled.
     resilience: ResilienceConfig,
@@ -384,8 +383,7 @@ impl Simulation {
 
     /// Install a fault-injection config. With any class enabled, the first
     /// fault tick is scheduled from the injector's private seeded stream;
-    /// with everything at zero this is a no-op and the run stays on the
-    /// fault-free fast path. Call before `run_until`.
+    /// with everything at zero this is a no-op. Call before `run_until`.
     pub fn set_faults(&mut self, config: FaultConfig) {
         if !config.enabled() {
             return;
@@ -420,7 +418,9 @@ impl Simulation {
     }
 
     /// Test/experiment hook: crash a server immediately (same effect as an
-    /// injected [`FaultKind::ServerCrash`], minus the recovery timer).
+    /// injected [`FaultKind::ServerCrash`], minus the recovery timer). It
+    /// needs no fault config: delivery, autoscaling pressure and placement
+    /// consult liveness on every run, so nothing starts on the dead server.
     pub fn inject_server_crash(&mut self, server: usize) {
         let now = self.queue.now();
         self.crash_server(now, server);
@@ -655,11 +655,9 @@ impl Simulation {
             self.log_fault(now, "shed", req as i64, self.gateway.depth() as f64);
             return;
         }
-        if self.obs.tracing() {
+        if let Some(trace) = self.obs.trace.as_mut() {
             let name = &self.deployed[wl].workload.name;
-            self.obs
-                .trace
-                .name_track(Track::request(req), &format!("{name} req{req}"), "request");
+            trace.name_track(Track::request(req), &format!("{name} req{req}"), "request");
         }
         for node in roots {
             self.forward(now, req, wl, node);
@@ -722,26 +720,22 @@ impl Simulation {
     }
 
     fn deliver(&mut self, now: SimTime, fwd: Forward) {
+        // Round-robin over the alive instances: pick the k-th alive one.
         let chosen = {
-            let faults_on = self.faults.is_some();
             let d = &mut self.deployed[fwd.wl];
-            let n_inst = d.instances[fwd.node].len();
-            if !faults_on {
-                let i = d.rr[fwd.node] % n_inst;
-                d.rr[fwd.node] = (d.rr[fwd.node] + 1) % n_inst;
-                Some(i)
+            let insts = &d.instances[fwd.node];
+            let n_alive = insts.iter().filter(|i| i.alive).count();
+            if n_alive == 0 {
+                None
             } else {
-                // Round-robin over the *alive* instances only.
-                let alive_insts: Vec<usize> = (0..n_inst)
-                    .filter(|&i| d.instances[fwd.node][i].alive)
-                    .collect();
-                if alive_insts.is_empty() {
-                    None
-                } else {
-                    let k = d.rr[fwd.node] % alive_insts.len();
-                    d.rr[fwd.node] = (d.rr[fwd.node] + 1) % alive_insts.len();
-                    Some(alive_insts[k])
-                }
+                let k = d.rr[fwd.node] % n_alive;
+                d.rr[fwd.node] = (d.rr[fwd.node] + 1) % n_alive;
+                insts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, i)| i.alive)
+                    .nth(k)
+                    .map(|(i, _)| i)
             }
         };
         let Some(inst_idx) = chosen else {
@@ -774,16 +768,16 @@ impl Simulation {
             service_done: now,
         });
         self.requests[fwd.req as usize].node_task[fwd.node] = Some(task_id);
-        if self.obs.tracing() {
+        if let Some(trace) = self.obs.trace.as_mut() {
             let d = &self.deployed[fwd.wl];
             let func = d.workload.graph.func(workloads::NodeId(fwd.node));
             let track = Track::node(fwd.req, fwd.node);
-            self.obs.trace.name_track(
+            trace.name_track(
                 track,
                 &format!("{} req{}", d.workload.name, fwd.req),
                 &func.name,
             );
-            self.obs.trace.span(SpanRecord {
+            trace.span(SpanRecord {
                 name: "gateway forward".to_string(),
                 cat: "gateway",
                 track,
@@ -814,7 +808,7 @@ impl Simulation {
                 }
                 task_id = inst.queue.pop_front().expect("queue emptied unexpectedly");
                 // `cold_storm_until` is ZERO outside chaos runs, so the
-                // extra comparison never fires on the fault-free path.
+                // extra comparison never fires in fault-free runs.
                 cold = !inst.used
                     || now.since(inst.last_finish) > self.config.keep_alive
                     || now < self.cold_storm_until;
@@ -843,9 +837,9 @@ impl Simulation {
                 if let Some(t) = self.obs.telemetry.as_mut() {
                     t.observe("instance.queue_wait_ms", wait_ms);
                 }
-                if self.obs.tracing() {
+                if let Some(trace) = self.obs.trace.as_mut() {
                     let t = &self.tasks[task_id];
-                    self.obs.trace.span(SpanRecord {
+                    trace.span(SpanRecord {
                         name: "queue wait".to_string(),
                         cat: "queue",
                         track: Track::node(t.req, t.node),
@@ -940,14 +934,14 @@ impl Simulation {
         // exactly the remaining work, so clamp to zero.
         self.tasks[task_id].remaining_us = 0.0;
 
-        if self.obs.tracing() {
+        if let Some(trace) = self.obs.trace.as_mut() {
             let t = &self.tasks[task_id];
             let (name, cat) = if t.cold && t.phase_idx == 0 {
                 ("cold start".to_string(), "cold")
             } else {
                 (format!("phase {}", t.phase_idx - t.cold as usize), "phase")
             };
-            self.obs.trace.span(SpanRecord {
+            trace.span(SpanRecord {
                 name,
                 cat,
                 track: Track::node(t.req, t.node),
@@ -1040,11 +1034,11 @@ impl Simulation {
             t.state = TaskState::Done;
             (t.wl, t.node, t.req, t.inst)
         };
-        if self.obs.tracing() {
+        if let Some(trace) = self.obs.trace.as_mut() {
             let t = &self.tasks[task_id];
             let track = Track::node(req, node);
             if was_nested_wait {
-                self.obs.trace.span(SpanRecord {
+                trace.span(SpanRecord {
                     name: "nested wait".to_string(),
                     cat: "wait",
                     track,
@@ -1060,7 +1054,7 @@ impl Simulation {
                 .name
                 .clone();
             let t = &self.tasks[task_id];
-            self.obs.trace.span(SpanRecord {
+            trace.span(SpanRecord {
                 name: func_name,
                 cat: "task",
                 track,
@@ -1136,9 +1130,9 @@ impl Simulation {
                     t.incr("sla.violations", 1);
                 }
             }
-            if self.obs.tracing() {
+            if let Some(trace) = self.obs.trace.as_mut() {
                 let name = self.deployed[wl].workload.name.clone();
-                self.obs.trace.span(SpanRecord {
+                trace.span(SpanRecord {
                     name,
                     cat: "request",
                     track: Track::request(req),
@@ -1333,28 +1327,20 @@ impl Simulation {
         if self.placer.is_none() {
             return;
         }
-        let faults_on = self.faults.is_some();
-        if faults_on {
-            // Refresh the placer's degraded-mode flag from the outage window.
-            let available = now >= self.predictor_down_until;
-            self.placer
-                .as_mut()
-                .expect("checked above")
-                .set_predictor_available(available);
-        }
+        // Refresh the placer's degraded-mode flag from the outage window
+        // (`predictor_down_until` stays `ZERO` without predictor outages).
+        let available = now >= self.predictor_down_until;
+        self.placer
+            .as_mut()
+            .expect("checked above")
+            .set_predictor_available(available);
         // Collect scale-out requests first to avoid borrowing conflicts.
         let mut wanted: Vec<(usize, usize)> = Vec::new();
         for (wl, d) in self.deployed.iter().enumerate() {
             for node in 0..d.workload.graph.len() {
+                // Pressure arithmetic over the alive instances.
                 let insts = &d.instances[node];
-                // Pressure arithmetic over the alive instances; on the
-                // fault-free path nothing is ever dead, so the original
-                // whole-list arithmetic is kept bit-for-bit.
-                let n_alive = if faults_on {
-                    insts.iter().filter(|i| i.alive).count()
-                } else {
-                    insts.len()
-                };
+                let n_alive = insts.iter().filter(|i| i.alive).count();
                 if n_alive >= self.scale.max_instances_per_node {
                     continue;
                 }
@@ -1387,11 +1373,7 @@ impl Simulation {
         for (wl, node) in wanted {
             let decision = {
                 let placer = self.placer.as_mut().expect("checked above");
-                let view = if faults_on {
-                    ClusterView::with_liveness(&self.servers, &self.alive)
-                } else {
-                    ClusterView::new(&self.servers)
-                };
+                let view = ClusterView::with_liveness(&self.servers, &self.alive);
                 let d = &self.deployed[wl];
                 let spec = d.workload.graph.func(workloads::NodeId(node));
                 placer.note_time(now.as_millis());
@@ -2371,12 +2353,7 @@ mod tests {
             placement,
             arrivals: ArrivalSpec::Jobs(vec![SimTime::from_secs(1.0)]),
         });
-        // Enable the injector path (tiny gateway jitter) without any
-        // discrete faults, then crash the only server by hand.
-        sim.set_faults(faults::FaultConfig {
-            gateway_jitter_max: SimTime::from_micros(1),
-            ..faults::FaultConfig::off()
-        });
+        // No fault config: crash the only server by hand.
         sim.run_until(SimTime::from_secs(5.0));
         sim.inject_server_crash(0);
         sim.run_until(SimTime::from_secs(10.0));
@@ -2402,10 +2379,6 @@ mod tests {
             placement,
             arrivals: ArrivalSpec::OpenLoop(vec![SimTime::from_secs(1.0)]),
         });
-        sim.set_faults(faults::FaultConfig {
-            gateway_jitter_max: SimTime::from_micros(1),
-            ..faults::FaultConfig::off()
-        });
         sim.set_resilience(crate::config::ResilienceConfig {
             max_retries: 3,
             backoff_base: SimTime::from_millis(50.0),
@@ -2421,6 +2394,107 @@ mod tests {
         );
         assert_eq!(ws.retries, 1);
         assert_eq!(sim.request_outcome(0), Some(Outcome::Completed));
+    }
+
+    #[test]
+    fn manual_crash_without_fault_config_starts_nothing_on_the_dead_server() {
+        // Every node has one instance on server 0 and one elsewhere, and no
+        // fault config is installed: delivery must still skip the dead one.
+        let mut sim = Simulation::new(PlatformConfig::paper_testbed(1));
+        let n = sim.servers().len();
+        let w = socialnetwork::message_posting();
+        let placement: Vec<Vec<PlacementDecision>> = w
+            .graph
+            .ids()
+            .map(|id| {
+                vec![
+                    PlacementDecision {
+                        server: 0,
+                        socket: 0,
+                    },
+                    PlacementDecision {
+                        server: 1 + id.0 % (n - 1),
+                        socket: 0,
+                    },
+                ]
+            })
+            .collect();
+        sim.deploy(Deployment {
+            workload: w,
+            placement,
+            arrivals: ArrivalSpec::OpenLoop(uniform_arrivals(30.0, SimTime::from_secs(20.0))),
+        });
+        sim.set_obs(obs::Obs::recording());
+        let crash = SimTime::from_secs(5.0);
+        sim.run_until(crash);
+        sim.inject_server_crash(0);
+        sim.run_until(SimTime::from_secs(20.0));
+        let obs = sim.take_obs();
+        let sink = obs.memory_sink().expect("recording obs has a memory sink");
+        let server_of = |s: &SpanRecord| {
+            s.args
+                .iter()
+                .find(|(k, _)| *k == "server")
+                .and_then(|(_, v)| v.as_f64())
+                .expect("task spans carry their server") as usize
+        };
+        let mut after = 0;
+        for s in sink.spans_in("task").filter(|s| s.end > crash) {
+            assert_ne!(server_of(s), 0, "task ran on the crashed server: {s:?}");
+            after += 1;
+        }
+        assert!(after > 0, "the workload keeps running on the other servers");
+    }
+
+    /// Scale-out policy that trusts the view: the first server that fits.
+    #[derive(Default)]
+    struct FirstFit {
+        chosen: Vec<usize>,
+    }
+
+    impl Placer for FirstFit {
+        fn place(
+            &mut self,
+            view: &ClusterView<'_>,
+            _workload: &Workload,
+            _node: usize,
+            spec: &workloads::FunctionSpec,
+        ) -> Option<PlacementDecision> {
+            let demand = spec.mean_demand();
+            let server = (0..view.num_servers()).find(|&s| view.fits(s, &demand))?;
+            self.chosen.push(server);
+            Some(PlacementDecision { server, socket: 0 })
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn autoscaler_never_places_on_a_manually_crashed_server() {
+        let mut sim = Simulation::new(PlatformConfig::paper_testbed(1));
+        let w = functionbench::float_operation(); // 0.4 s CPU burst
+        let placement = place_all(&w, 1, 0);
+        sim.deploy(Deployment {
+            workload: w,
+            placement,
+            arrivals: ArrivalSpec::OpenLoop(uniform_arrivals(20.0, SimTime::from_secs(20.0))),
+        });
+        sim.set_placer(Box::<FirstFit>::default(), ScaleConfig::default());
+        sim.run_until(SimTime::from_millis(500.0));
+        sim.inject_server_crash(0);
+        sim.run_until(SimTime::from_secs(20.0));
+        let chosen = &sim
+            .placer()
+            .and_then(|p| p.as_any().downcast_ref::<FirstFit>())
+            .expect("first-fit placer installed")
+            .chosen;
+        assert!(!chosen.is_empty(), "the load must trigger scale-out");
+        assert!(
+            chosen.iter().all(|&s| s != 0),
+            "scale-out onto the crashed server: {chosen:?}"
+        );
     }
 
     #[test]

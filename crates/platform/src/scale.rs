@@ -11,8 +11,8 @@ use workloads::{FunctionSpec, Workload};
 /// Read-only view of cluster occupancy offered to placement policies.
 pub struct ClusterView<'a> {
     servers: &'a [ServerState],
-    /// Per-server liveness; `None` means every server is alive (the
-    /// fault-free fast path allocates nothing).
+    /// Per-server liveness; `None` (a view built by [`ClusterView::new`])
+    /// means every server is alive.
     alive: Option<&'a [bool]>,
 }
 
@@ -25,8 +25,8 @@ impl<'a> ClusterView<'a> {
         }
     }
 
-    /// Wrap the server list together with a liveness mask (chaos runs);
-    /// dead servers never satisfy [`ClusterView::fits`].
+    /// Wrap the server list together with a liveness mask (every view the
+    /// engine builds); dead servers never satisfy [`ClusterView::fits`].
     pub fn with_liveness(servers: &'a [ServerState], alive: &'a [bool]) -> Self {
         debug_assert_eq!(servers.len(), alive.len());
         Self {

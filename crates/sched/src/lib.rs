@@ -61,9 +61,8 @@ pub mod reschedule;
 
 pub use binary_search::{binary_search_placement, BinarySearchOutcome, PlacementError};
 pub use hierarchical::{contiguous_racks, hierarchical_placement, HierarchicalOutcome, Rack};
-pub use overhead::{DecisionTimer, OverheadBreakdown};
+pub use overhead::OverheadBreakdown;
 pub use placer::{GsightPlacer, PythiaPlacer, SlaSpec, WorkloadEntry};
 pub use reschedule::{
-    apply_plan, apply_plan_checked, plan_consolidation, plan_drain, Migration, PlanError,
-    ReschedulePlan,
+    apply_plan_checked, plan_consolidation, plan_drain, Migration, PlanError, ReschedulePlan,
 };

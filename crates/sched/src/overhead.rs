@@ -9,7 +9,6 @@
 
 use obs::WallProfiler;
 use simcore::stats::Summary;
-use std::time::{Duration, Instant};
 
 /// Stage names for [`PipelineProfile`], matching the paper's four steps.
 pub const STAGE_FORWARD: &str = "invocation forwarding";
@@ -119,74 +118,10 @@ impl PipelineProfile {
     }
 }
 
-/// Stopwatch for measuring real wall-clock spans of predictor calls.
-#[derive(Debug)]
-pub struct DecisionTimer {
-    spans: Vec<Duration>,
-    current: Option<Instant>,
-}
-
-impl Default for DecisionTimer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DecisionTimer {
-    /// Empty timer.
-    pub fn new() -> Self {
-        Self {
-            spans: Vec::new(),
-            current: None,
-        }
-    }
-
-    /// Start a span. Panics if one is already running.
-    pub fn start(&mut self) {
-        assert!(self.current.is_none(), "span already running");
-        self.current = Some(Instant::now());
-    }
-
-    /// Stop the running span, recording it. Panics if none is running.
-    pub fn stop(&mut self) {
-        let s = self.current.take().expect("no span running");
-        self.spans.push(s.elapsed());
-    }
-
-    /// Time a closure as one span, returning its result.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        self.start();
-        let out = f();
-        self.stop();
-        out
-    }
-
-    /// Number of recorded spans.
-    pub fn count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Mean span length in ms (NaN when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.spans.is_empty() {
-            return f64::NAN;
-        }
-        self.spans
-            .iter()
-            .map(|d| d.as_secs_f64() * 1e3)
-            .sum::<f64>()
-            / self.spans.len() as f64
-    }
-
-    /// Total recorded time in ms.
-    pub fn total_ms(&self) -> f64 {
-        self.spans.iter().map(|d| d.as_secs_f64() * 1e3).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn breakdown_total_and_fractions() {
@@ -200,33 +135,6 @@ mod tests {
         let f = b.fractions();
         assert!((f[1] - 0.3).abs() < 1e-12);
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timer_records_spans() {
-        let mut t = DecisionTimer::new();
-        let x = t.time(|| {
-            std::thread::sleep(Duration::from_millis(2));
-            42
-        });
-        assert_eq!(x, 42);
-        assert_eq!(t.count(), 1);
-        assert!(t.mean_ms() >= 1.5, "mean {}", t.mean_ms());
-    }
-
-    #[test]
-    fn empty_timer_nan_mean() {
-        let t = DecisionTimer::new();
-        assert!(t.mean_ms().is_nan());
-        assert_eq!(t.total_ms(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "span already running")]
-    fn double_start_panics() {
-        let mut t = DecisionTimer::new();
-        t.start();
-        t.start();
     }
 
     #[test]

@@ -38,7 +38,7 @@ use gsight::{ColoWorkload, GsightPredictor, Scenario};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Migration {
     /// Index of the workload in the entry list handed to
-    /// [`plan_consolidation`]. Rollback and [`apply_plan`] resolve the
+    /// [`plan_consolidation`]. Rollback and [`apply_plan_checked`] resolve the
     /// entry by this index — names may repeat across entries.
     pub entry: usize,
     /// Workload name (display only; not used for resolution).
@@ -167,8 +167,8 @@ fn slas_hold(
 /// still hold.
 ///
 /// The entry list is *not* mutated; apply the returned migrations with
-/// [`apply_plan`] (and the corresponding platform/cluster actions) if
-/// accepted.
+/// [`apply_plan_checked`] (and the corresponding platform/cluster actions)
+/// if accepted.
 pub fn plan_consolidation(
     predictor: &GsightPredictor,
     entries: &[WorkloadEntry],
@@ -267,18 +267,6 @@ pub fn plan_consolidation(
     plan
 }
 
-/// Apply a plan to an entry list (the caller also performs the platform
-/// migrations). Entries are resolved by [`Migration::entry`] index, so the
-/// list must be the one (or a same-order copy of the one) the plan was
-/// built from; duplicate workload names are fine.
-pub fn apply_plan(entries: &mut [WorkloadEntry], plan: &ReschedulePlan) {
-    for m in &plan.migrations {
-        let e = &mut entries[m.entry];
-        assert_eq!(e.instances[m.instance].1, m.from, "plan out of date");
-        e.instances[m.instance].1 = m.to;
-    }
-}
-
 /// Why a plan was rejected by [`apply_plan_checked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanError {
@@ -323,11 +311,14 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Validating variant of [`apply_plan`] for use under fault injection: the
-/// whole plan is checked against the current entry list and the server
-/// liveness vector *before* any migration is applied, so a rejected plan
-/// leaves `entries` untouched (instead of panicking half-applied, or
-/// silently migrating instances onto a crashed server).
+/// Apply a plan to an entry list (the caller also performs the platform
+/// migrations). Entries are resolved by [`Migration::entry`] index, so the
+/// list must be the one (or a same-order copy of the one) the plan was
+/// built from; duplicate workload names are fine. The whole plan is checked
+/// against the current entry list and the server liveness vector *before*
+/// any migration is applied, so a rejected plan leaves `entries` untouched
+/// (instead of panicking half-applied, or silently migrating instances onto
+/// a crashed server).
 pub fn apply_plan_checked(
     entries: &mut [WorkloadEntry],
     plan: &ReschedulePlan,
@@ -540,7 +531,7 @@ mod tests {
         );
         // Apply and verify the freed servers really are empty.
         let mut after = entries;
-        apply_plan(&mut after, &plan);
+        apply_plan_checked(&mut after, &plan, &[true; S]).expect("plan applies");
         for &freed in &plan.freed_servers {
             for e in &after {
                 assert!(e.instances.iter().all(|&(_, s)| s != freed));
@@ -640,13 +631,13 @@ mod tests {
                 e.instances[m.instance].1 = (m.from + 1) % S;
             }
         }
-        apply_plan(&mut moved, &plan);
+        apply_plan_checked(&mut moved, &plan, &[true; S]).expect("plan out of date");
     }
 
     #[test]
     fn duplicate_names_resolve_by_entry_index() {
         // Regression: two distinct entries share the name "dup". The old
-        // name-based resolution in apply_plan/rollback always picked the
+        // name-based resolution in plan application/rollback always picked the
         // first match, mutating the wrong entry (the stale-plan assert
         // fired spuriously). Resolution by entry index ignores the clash.
         let p = predictor();
@@ -660,7 +651,7 @@ mod tests {
             "only the second 'dup' occupies the donor: {plan:?}"
         );
         let mut after = entries;
-        apply_plan(&mut after, &plan);
+        apply_plan_checked(&mut after, &plan, &[true; S]).expect("plan applies");
         assert_eq!(
             after[0].instances,
             vec![(0, 0), (1, 0)],

@@ -18,13 +18,12 @@
 //! counted superseded entries), and checkpoint counters against the
 //! records and the report around them.
 
-use experiments::fault_sweep::{chaos_run_with_obs, SweepPoint};
+use experiments::fault_sweep::SweepPoint;
 use experiments::journal_runs::{
-    fault_sweep_spec, output_digest, replay_bytes, rerun_from_header, resume_bytes, truncate_bytes,
-    CHECKPOINT_EVERY_US,
+    fault_sweep_spec, journaled_chaos_run, output_digest, replay_bytes, rerun_from_header,
+    resume_bytes, truncate_bytes, CHECKPOINT_EVERY_US,
 };
 use obs::journal::{checkpoint_violations, read_journal, JournalEvent, JournalSink, MemoryJournal};
-use obs::Obs;
 
 const QUICK: bool = true;
 const FAULTS_OFF: SweepPoint = SweepPoint {
@@ -171,20 +170,9 @@ fn torn_journal_from_sharded_run_resumes_bit_identically() {
 /// journal's totals equal the report's.
 #[test]
 fn shard_checkpoints_partition_the_cluster_and_sum_to_journal_totals() {
-    let seed = 7u64;
-    let spec = fault_sweep_spec(FAULTS_ON, seed, QUICK);
-    let journal = MemoryJournal::in_memory(&spec, Some(CHECKPOINT_EVERY_US));
-    let bundle = Obs::telemetry_only()
-        .with_fault_log()
-        .with_journal(Box::new(journal));
-    let (out, post) = chaos_run_with_obs(FAULTS_ON, seed, QUICK, bundle);
-    let bytes = post
-        .journal
-        .as_ref()
-        .and_then(|j| j.as_any().downcast_ref::<MemoryJournal>())
-        .map(|j| j.bytes().to_vec())
-        .expect("journal bytes");
-    let records = read_journal(&bytes).expect("strict parse").records;
+    let run = journaled_chaos_run(FAULTS_ON, 7, QUICK, 1);
+    let out = &run.outcome;
+    let records = read_journal(&run.bytes).expect("strict parse").records;
     let violations = checkpoint_violations(&records);
     assert!(
         violations.is_empty(),

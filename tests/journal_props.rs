@@ -4,12 +4,12 @@
 //! bit-identically, and attaching a journal must never perturb the
 //! simulation — across many seeds, with faults both on and off.
 
-use experiments::fault_sweep::{chaos_run, chaos_run_scaled, SweepPoint};
+use experiments::fault_sweep::{chaos_run, SweepPoint};
 use experiments::journal_runs::{
-    fault_sweep_spec, replay_bytes, rerun_from_header, resume_bytes, truncate_bytes,
-    CHECKPOINT_EVERY_US,
+    fault_sweep_spec, journaled_chaos_run, replay_bytes, rerun_from_header, resume_bytes,
+    truncate_bytes,
 };
-use obs::journal::{check_invariants, read_journal, JournalEvent, JournalRecord, MemoryJournal};
+use obs::journal::{check_invariants, read_journal, JournalEvent, JournalRecord};
 use obs::Telemetry;
 use platform::replay::Fold;
 use platform::RunReport;
@@ -180,19 +180,8 @@ fn resume_of_complete_journal_verifies_everything() {
 fn merged_multi_shard_journal_satisfies_invariants_and_replays() {
     let seed = 13u64;
     for scale in [2usize, 4, 8] {
-        let spec = fault_sweep_spec(FAULTS_ON, seed, QUICK);
-        let journal = MemoryJournal::in_memory(&spec, Some(CHECKPOINT_EVERY_US));
-        let bundle = obs::Obs::telemetry_only()
-            .with_fault_log()
-            .with_journal(Box::new(journal));
-        let (out, post) = chaos_run_scaled(FAULTS_ON, seed, QUICK, bundle, scale);
-        let bytes = post
-            .journal
-            .as_ref()
-            .and_then(|j| j.as_any().downcast_ref::<MemoryJournal>())
-            .map(|j| j.bytes().to_vec())
-            .expect("journal bytes");
-        let parsed = read_journal(&bytes).expect("strict parse");
+        let run = journaled_chaos_run(FAULTS_ON, seed, QUICK, scale);
+        let parsed = read_journal(&run.bytes).expect("strict parse");
         let violations = check_invariants(&parsed.records);
         assert!(
             violations.is_empty(),
@@ -201,14 +190,14 @@ fn merged_multi_shard_journal_satisfies_invariants_and_replays() {
             violations.join("\n  ")
         );
         // `replay_bytes` also checks the checkpoint counters.
-        let replay = replay_bytes(&bytes).expect("replay");
+        let replay = replay_bytes(&run.bytes).expect("replay");
         assert_eq!(
             replay.artifacts.report_json,
-            out.report.render_json(),
+            run.artifacts.report_json,
             "{}-server journal must fold back into its own run's report",
             8 * scale
         );
-        assert_eq!(replay.artifacts.faults_jsonl, out.faults.to_jsonl());
+        assert_eq!(replay.artifacts.faults_jsonl, run.artifacts.faults_jsonl);
     }
 }
 
