@@ -61,8 +61,7 @@ impl ServerSpec {
         }
     }
 
-    /// A two-socket node used by socket-isolation tests (Observation 5 moves
-    /// a corunner "to another server socket").
+    /// A two-socket node for tests of per-socket placement and contention.
     pub fn dual_socket() -> Self {
         Self {
             cores: 8,

@@ -41,7 +41,6 @@
 
 pub mod config;
 pub mod contention;
-pub mod isolation;
 pub mod microarch;
 pub mod partitioning;
 pub mod resources;

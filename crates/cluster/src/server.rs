@@ -90,19 +90,6 @@ impl ServerState {
         }
     }
 
-    /// Re-pin an instance to a different socket (local interference control,
-    /// paper Observation 5). Returns false if the instance is unknown.
-    pub fn move_to_socket(&mut self, id: InstanceId, socket: usize) -> bool {
-        assert!(socket < self.spec.sockets as usize, "socket out of range");
-        match self.instances.get_mut(&id) {
-            Some(load) => {
-                load.socket = socket;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of placed instances.
     pub fn len(&self) -> usize {
         self.instances.len()
@@ -195,15 +182,6 @@ mod tests {
     fn add_rejects_bad_socket() {
         let mut s = ServerState::new(ServerSpec::small());
         s.add(load(1.0, 5));
-    }
-
-    #[test]
-    fn move_to_socket_changes_pin() {
-        let mut s = ServerState::new(ServerSpec::dual_socket());
-        let id = s.add(load(1.0, 0));
-        assert!(s.move_to_socket(id, 1));
-        assert_eq!(s.get(id).unwrap().socket, 1);
-        assert!(!s.move_to_socket(InstanceId(999), 1));
     }
 
     #[test]

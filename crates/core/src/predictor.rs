@@ -86,18 +86,6 @@ impl GsightPredictor {
         }
     }
 
-    /// New predictor with custom learner hyperparameters (the `dim` field of
-    /// `params` is overridden to match the coding).
-    pub fn with_params(config: GsightConfig, mut params: IncrementalParams) -> Self {
-        params.dim = feature_dim(&config.coding);
-        params.kind = config.kind;
-        Self {
-            model: IncrementalModel::new(params),
-            pending: Dataset::new(feature_dim(&config.coding)),
-            config,
-        }
-    }
-
     /// The configuration.
     pub fn config(&self) -> &GsightConfig {
         &self.config

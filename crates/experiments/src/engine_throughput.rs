@@ -35,7 +35,7 @@ fn bench_point() -> SweepPoint {
     }
 }
 
-/// One topology's measurement (best of [`REPS`] runs).
+/// One topology's measurement (best of `REPS` runs).
 #[derive(Debug, Clone)]
 pub struct TopologyPoint {
     /// Cluster size (8 × scale).

@@ -88,8 +88,9 @@ pub fn run_condition_observed(
 
 /// [`run_condition`] with a caller-supplied observability bundle (journal
 /// sink, Prometheus hub, full recording, …) — the variant journal-enabled
-/// runs use. Also returns the raw [`RunReport`] so the caller can export it
-/// for replay byte-diffing. The simulation is bit-identical for any bundle.
+/// runs use. Also returns the raw [`platform::RunReport`] so the caller can
+/// export it for replay byte-diffing. The simulation is bit-identical for
+/// any bundle.
 #[allow(clippy::too_many_arguments)]
 pub fn run_condition_with_obs(
     book: &ProfileBook,

@@ -7,7 +7,7 @@
 //! makes three operations possible:
 //!
 //! * **replay** ([`replay_bytes`]): fold the records back into the run's
-//!   artifacts ([`platform::replay`]) without re-simulating — a linear scan,
+//!   artifacts ([`platform::replay()`]) without re-simulating — a linear scan,
 //!   orders of magnitude faster than the run itself.
 //! * **resume** ([`resume_bytes`]): given a *truncated* journal (torn tail
 //!   from a crash mid-run), rebuild the simulation from the header spec,

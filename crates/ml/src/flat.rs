@@ -91,11 +91,6 @@ impl FlatForest {
         flat
     }
 
-    /// Number of compiled trees.
-    pub fn num_trees(&self) -> usize {
-        self.roots.len()
-    }
-
     /// Walk one tree over one row.
     // The negated `<=` is the bit-identity contract (see module docs), not
     // a readability accident: `x > t` routes NaN differently.

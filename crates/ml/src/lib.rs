@@ -6,9 +6,9 @@
 //! * [`tree`] — CART regression trees (variance-reduction splits, feature
 //!   subsampling, depth/leaf bounds, impurity importances), trained by a
 //!   presorted column-major split-search kernel.
-//! * [`reference`] — the original exhaustive per-node split search, kept as
-//!   the bit-identical oracle the kernel is validated (and benchmarked)
-//!   against.
+//! * [`reference`](mod@reference) — the original exhaustive per-node split
+//!   search, kept as the bit-identical oracle the kernel is validated (and
+//!   benchmarked) against.
 //! * [`forest`] — random-forest regression (bagging + feature subsampling,
 //!   parallel training, averaged impurity importances) — the paper's
 //!   chosen model (RFR/IRFR).

@@ -122,11 +122,6 @@ impl Pca {
         self.k
     }
 
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.dim
-    }
-
     /// Variance captured per component (descending).
     pub fn explained_variance(&self) -> &[f64] {
         &self.explained

@@ -28,13 +28,13 @@
 //! * **Sorted-order maintenance with a size cutoff** — partitions of large
 //!   nodes *stably filter* each presorted array into the two children
 //!   (branchless dual-store loop) instead of re-sorting, O(n) per feature
-//!   per level; below [`SMALL_NODE`] rows the kernel stops maintaining
+//!   per level; below `SMALL_NODE` rows the kernel stops maintaining
 //!   arenas and instead sorts the node's members on demand for each
 //!   examined feature — cheaper there, because a node only examines
 //!   ~`mtry` of the features its arenas would cover. Leaf-bound children
 //!   skip maintenance entirely.
 //! * **Streamed candidate features** — the per-node candidate permutation
-//!   is drawn lazily through [`CandidateStream`], paying RNG draws and
+//!   is drawn lazily through `CandidateStream`, paying RNG draws and
 //!   swaps only for the ~`mtry` candidates actually examined instead of
 //!   all `dim`, while replaying the eager shuffle's exact draw sequence.
 //! * **Single-sweep gains** — split gains come from one incremental

@@ -181,7 +181,10 @@ pub(crate) fn write_finite_num(x: f64, out: &mut String) {
     }
 }
 
-/// [`write_finite_num`] into a fresh string (see there for the contract).
+/// Canonical decimal rendering of a finite `f64` into a fresh string:
+/// integer values render with no fractional part (`4`, never `4.0`; `-0.0`
+/// renders as `0`), and everything else uses the shortest round-trip form,
+/// with no exponent.
 pub fn fmt_num(x: f64) -> String {
     let mut out = String::new();
     write_finite_num(x, &mut out);

@@ -611,13 +611,6 @@ impl Simulation {
         &self.servers
     }
 
-    /// Owned snapshot of the server states — convenient when a placement
-    /// decision and a subsequent `deploy` would otherwise fight the borrow
-    /// checker.
-    pub fn cluster_view_snapshot(&self) -> Vec<ServerState> {
-        self.servers.clone()
-    }
-
     // ------------------------------------------------------------------
     // Event handlers
     // ------------------------------------------------------------------

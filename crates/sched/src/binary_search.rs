@@ -8,14 +8,13 @@
 //! configuration per attempt: *the function with maximum resource
 //! requirements goes to the server with the most available resources that
 //! can still fit it*. A spread whose greedy configuration would overcommit
-//! a server's CPU headroom is rejected as infeasible (recorded in the audit
-//! trail), forcing the search toward wider spreads; every probe reuses one
-//! featurization scratch buffer, so a whole search costs zero
-//! feature-vector allocations beyond the first.
+//! a server's CPU headroom is rejected as infeasible, forcing the search
+//! toward wider spreads; every probe reuses one featurization scratch
+//! buffer, so a whole search costs zero feature-vector allocations beyond
+//! the first.
 
 use cluster::Demand;
 use gsight::{ColoWorkload, GsightPredictor, Scenario};
-use obs::{AuditLog, CandidateEval, DecisionRecord};
 
 /// Why a placement attempt produced no placement.
 ///
@@ -141,98 +140,21 @@ pub fn binary_search_placement(
     capacity: &Demand,
     sla_min_qos: f64,
 ) -> Result<BinarySearchOutcome, PlacementError> {
-    search(
-        predictor,
-        new_workload,
-        existing,
-        num_servers,
-        candidates,
-        headroom,
-        capacity,
-        sla_min_qos,
-    )
-    .0
-}
-
-/// [`binary_search_placement`] plus an audit trail: appends one
-/// [`DecisionRecord`] per call — every evaluated spread with its predicted
-/// QoS and SLA verdict, and which probe (if any) was accepted. Rejected
-/// placements are logged too.
-#[allow(clippy::too_many_arguments)]
-pub fn binary_search_placement_audited(
-    predictor: &GsightPredictor,
-    new_workload: &ColoWorkload,
-    existing: &[ColoWorkload],
-    num_servers: usize,
-    candidates: &[usize],
-    headroom: &[f64],
-    capacity: &Demand,
-    sla_min_qos: f64,
-    at_ms: f64,
-    workload_name: &str,
-    audit: &mut AuditLog,
-) -> Result<BinarySearchOutcome, PlacementError> {
-    let (outcome, evaluated, chosen) = search(
-        predictor,
-        new_workload,
-        existing,
-        num_servers,
-        candidates,
-        headroom,
-        capacity,
-        sla_min_qos,
-    );
-    audit.push(DecisionRecord {
-        at_ms,
-        workload: workload_name.to_string(),
-        sla_min_qos,
-        predictor_calls: evaluated.len(),
-        evaluated,
-        chosen,
-        degraded: false,
-    });
-    outcome
-}
-
-#[allow(clippy::too_many_arguments)]
-fn search(
-    predictor: &GsightPredictor,
-    new_workload: &ColoWorkload,
-    existing: &[ColoWorkload],
-    num_servers: usize,
-    candidates: &[usize],
-    headroom: &[f64],
-    capacity: &Demand,
-    sla_min_qos: f64,
-) -> (
-    Result<BinarySearchOutcome, PlacementError>,
-    Vec<CandidateEval>,
-    Option<usize>,
-) {
     if candidates.is_empty() {
-        return (Err(PlacementError::NoCandidates), Vec::new(), None);
+        return Err(PlacementError::NoCandidates);
     }
-    let mut evals: Vec<CandidateEval> = Vec::new();
+    let mut predictor_calls = 0usize;
     // One featurization scratch buffer for the whole search: every probe
     // reuses it instead of allocating a fresh 2580-dim vector.
     let mut scratch: Vec<f64> = Vec::new();
-    let evaluate = |k: usize,
-                    evals: &mut Vec<CandidateEval>,
-                    scratch: &mut Vec<f64>|
-     -> (Vec<usize>, f64, bool) {
+    let mut evaluate = |k: usize| -> (Vec<usize>, f64, bool) {
         let placement = greedy_assign(&new_workload.demands, capacity, headroom, candidates, k);
         let feasible = fits_headroom(&new_workload.demands, &placement, headroom);
         let mut target = new_workload.clone();
         target.placement = placement.clone();
         let scenario = Scenario::new(target, existing.to_vec(), num_servers);
-        let qos = predictor.predict_with_scratch(&scenario, scratch);
-        evals.push(CandidateEval {
-            spread: k,
-            placement: placement.clone(),
-            predicted_qos: qos,
-            sla_ok: qos >= sla_min_qos,
-            feasible,
-        });
+        predictor_calls += 1;
+        let qos = predictor.predict_with_scratch(&scenario, &mut scratch);
         (placement, qos, feasible)
     };
 
@@ -241,8 +163,7 @@ fn search(
     // holds AND it fits the candidates' CPU headroom — the greedy packer
     // overcommits rather than fail, so the search must reject those
     // configurations and keep widening the spread.
-    let (mut best_placement, mut best_qos, feasible) = evaluate(1, &mut evals, &mut scratch);
-    let mut chosen = Some(0usize);
+    let (mut best_placement, mut best_qos, feasible) = evaluate(1);
     if best_qos < sla_min_qos || !feasible {
         // Binary search the smallest k in [2, max_k] that is feasible and
         // satisfies the SLA (both are monotone in k: more spread means less
@@ -251,9 +172,9 @@ fn search(
         let mut found = None;
         while lo <= hi {
             let mid = (lo + hi) / 2;
-            let (placement, qos, feasible) = evaluate(mid, &mut evals, &mut scratch);
+            let (placement, qos, feasible) = evaluate(mid);
             if qos >= sla_min_qos && feasible {
-                found = Some((placement, qos, evals.len() - 1));
+                found = Some((placement, qos));
                 if mid == 2 {
                     break;
                 }
@@ -262,25 +183,17 @@ fn search(
                 lo = mid + 1;
             }
         }
-        match found {
-            Some((p, q, idx)) => {
-                best_placement = p;
-                best_qos = q;
-                chosen = Some(idx);
-            }
-            None => return (Err(PlacementError::SlaUnsatisfiable), evals, None),
-        }
+        (best_placement, best_qos) = found.ok_or(PlacementError::SlaUnsatisfiable)?;
     }
     let mut spread = best_placement.clone();
     spread.sort_unstable();
     spread.dedup();
-    let outcome = BinarySearchOutcome {
+    Ok(BinarySearchOutcome {
         placement: best_placement,
         spread: spread.len(),
         predicted_qos: best_qos,
-        predictor_calls: evals.len(),
-    };
-    (Ok(outcome), evals, chosen)
+        predictor_calls,
+    })
 }
 
 #[cfg(test)]
@@ -499,87 +412,6 @@ mod tests {
             0.1,
         );
         assert_eq!(out, Err(PlacementError::NoCandidates));
-        // The audited variant records the (empty) decision instead of
-        // panicking, so post-mortem traces still show the refusal.
-        let mut audit = AuditLog::new();
-        let out = binary_search_placement_audited(
-            &p,
-            &new_wl,
-            std::slice::from_ref(&corunner),
-            4,
-            &[],
-            &[1.0, 2.0, 3.0, 4.0],
-            &Demand::new(4.0, 20.0, 8.0, 200.0, 500.0, 16.0),
-            0.1,
-            0.0,
-            "w",
-            &mut audit,
-        );
-        assert_eq!(out, Err(PlacementError::NoCandidates));
-        assert_eq!(audit.records().len(), 1);
-        assert!(audit.records()[0].chosen.is_none());
-    }
-
-    #[test]
-    fn audited_search_logs_every_probe() {
-        let (p, corunner) = trained_predictor();
-        let new_wl = colo(2.0, 4.0, vec![0, 0, 0]);
-        let cap = Demand::new(4.0, 20.0, 8.0, 200.0, 500.0, 16.0);
-        let mut audit = AuditLog::new();
-        // Accepted decision under a tight SLA.
-        let out = binary_search_placement_audited(
-            &p,
-            &new_wl,
-            std::slice::from_ref(&corunner),
-            4,
-            &[0, 1, 2, 3],
-            &[1.0, 2.0, 3.0, 4.0],
-            &cap,
-            1.8,
-            1000.0,
-            "new-workload",
-            &mut audit,
-        )
-        .expect("placement found");
-        // Rejected decision under an impossible SLA.
-        let rejected = binary_search_placement_audited(
-            &p,
-            &new_wl,
-            std::slice::from_ref(&corunner),
-            4,
-            &[0, 1, 2, 3],
-            &[1.0, 2.0, 3.0, 4.0],
-            &cap,
-            10.0,
-            2000.0,
-            "new-workload",
-            &mut audit,
-        );
-        assert!(rejected.is_err());
-
-        assert_eq!(audit.records().len(), 2);
-        assert_eq!(audit.accepted(), 1);
-        let first = &audit.records()[0];
-        assert_eq!(first.evaluated.len(), out.predictor_calls);
-        let chosen = &first.evaluated[first.chosen.expect("accepted")];
-        assert_eq!(chosen.placement, out.placement);
-        assert!(chosen.sla_ok && chosen.predicted_qos >= 1.8);
-        // The audited path must not change the decision.
-        let plain = binary_search_placement(
-            &p,
-            &new_wl,
-            std::slice::from_ref(&corunner),
-            4,
-            &[0, 1, 2, 3],
-            &[1.0, 2.0, 3.0, 4.0],
-            &cap,
-            1.8,
-        )
-        .unwrap();
-        assert_eq!(plain, out);
-        let second = &audit.records()[1];
-        assert!(second.chosen.is_none());
-        assert!(second.evaluated.iter().all(|e| !e.sla_ok));
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //!   thresholds derived from the latency–IPC curve, §6.3).
 //! * [`overhead`] — wall-clock instrumentation of the scheduling pipeline
 //!   for the Fig. 14 overhead study.
-//! * [`hierarchical`] — rack-level two-stage search, the hierarchy-
-//!   scheduling extension proposed in §6.4's future work.
 //! * [`reschedule`] — §4's consolidation pass: migrate instances off
 //!   lightly-used servers when every SLA still holds, freeing machines
 //!   during load troughs. Under fault injection the same machinery drains
@@ -54,13 +52,11 @@
 //!   move.
 
 pub mod binary_search;
-pub mod hierarchical;
 pub mod overhead;
 pub mod placer;
 pub mod reschedule;
 
 pub use binary_search::{binary_search_placement, BinarySearchOutcome, PlacementError};
-pub use hierarchical::{contiguous_racks, hierarchical_placement, HierarchicalOutcome, Rack};
 pub use overhead::OverheadBreakdown;
 pub use placer::{GsightPlacer, PythiaPlacer, SlaSpec, WorkloadEntry};
 pub use reschedule::{

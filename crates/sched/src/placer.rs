@@ -103,8 +103,8 @@ impl GsightPlacer {
     /// Stage name under which probe latencies are recorded.
     pub const PROBE_STAGE: &'static str = "sched.probe";
 
-    /// Start timing every candidate probe (one wall-clock sample per
-    /// [`Self::probe`] call) under the [`Self::PROBE_STAGE`] stage.
+    /// Start timing every candidate probe (one wall-clock sample per probe)
+    /// under the [`Self::PROBE_STAGE`] stage.
     pub fn enable_probe_profiling(&mut self) {
         self.probe_profiler.get_or_insert_with(WallProfiler::new);
     }

@@ -128,12 +128,6 @@ impl SimRng {
         idx
     }
 
-    /// Uniform `u32` (upper bits of the next raw output).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64_raw() >> 32) as u32
-    }
-
     /// Uniform `u64`.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

@@ -259,11 +259,6 @@ pub fn kmeans() -> Workload {
     Workload::new("kmeans", WorkloadClass::ShortTerm, CallGraph::single(f))
 }
 
-/// The four Observation-1 corunners in paper order (Fig. 3(a)'s columns).
-pub fn observation1_corunners() -> Vec<Workload> {
-    vec![matrix_multiplication(), dd(), iperf(), video_processing()]
-}
-
 /// Every FunctionBench-derived workload in this module.
 pub fn all() -> Vec<Workload> {
     vec![

@@ -15,8 +15,6 @@
 //!   float ops, feature generation, LogisticRegression and KMeans.
 //! * [`socialnetwork`] / [`ecommerce`] — the two latency-sensitive
 //!   applications with their paper SLAs (267 ms and 88 ms p99).
-//! * [`websearch`] — Table 1's third LS example (serverless information
-//!   retrieval) with parallel index-shard fan-out.
 //! * [`azure_trace`] — diurnal/weekly invocation-rate generation matching
 //!   the published Azure characterization.
 //! * [`loadgen`] — the open-loop load generator of paper §6.4.
@@ -51,7 +49,6 @@ pub mod loadgen;
 pub mod population;
 pub mod socialnetwork;
 pub mod trace_io;
-pub mod websearch;
 
 pub use class::WorkloadClass;
 pub use dag::{CallGraph, CallKind, NodeId};
