@@ -154,7 +154,11 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
-fn write_num(x: f64, out: &mut String) {
+/// Append the JSON rendering of a number, exactly as [`Json::Num`] renders:
+/// non-finite values become `null`, integral values print without a
+/// fractional part (`-0.0` as `0`), everything else in shortest round-trip
+/// form. Lets a writer stream numbers without building a tree.
+pub fn write_num(x: f64, out: &mut String) {
     if !x.is_finite() {
         out.push_str("null");
     } else {

@@ -242,7 +242,17 @@ pub struct Simulation {
     queue: EventQueue<Ev>,
     gateway: Gateway,
     deployed: Vec<Deployed>,
+    /// Task slab: a task's slot is freed when it reaches `Done` and reused
+    /// by a later delivery, so the slab tracks live work, not the run.
     tasks: Vec<Task>,
+    /// Freed `tasks` slots, reused last-freed first.
+    free_tasks: Vec<usize>,
+    /// Tasks delivered so far (the checkpoint's `tasks_created`).
+    tasks_created: u64,
+    /// Sum of `phase_idx` over freed slots, so tests can count every
+    /// phase run after the slots were reused.
+    #[cfg(test)]
+    phases_freed: usize,
     requests: Vec<RequestState>,
     report: RunReport,
     placer: Option<Box<dyn Placer>>,
@@ -306,6 +316,10 @@ impl Simulation {
             gateway: Gateway::new(),
             deployed: Vec::new(),
             tasks: Vec::new(),
+            free_tasks: Vec::new(),
+            tasks_created: 0,
+            #[cfg(test)]
+            phases_freed: 0,
             requests: Vec::new(),
             report: RunReport::default(),
             placer: None,
@@ -642,8 +656,7 @@ impl Simulation {
             .shed_queue_depth
             .is_some_and(|d| self.gateway.depth() >= d)
         {
-            let r = &mut self.requests[req as usize];
-            r.outcome = Some(Outcome::Shed);
+            self.settle(req, Outcome::Shed);
             self.emit(now, JournalEvent::Shed { wl: wl as u32, req });
             self.log_fault(now, "shed", req as i64, self.gateway.depth() as f64);
             return;
@@ -737,11 +750,7 @@ impl Simulation {
             self.fail_or_retry(now, fwd.req);
             return;
         };
-        let d = &mut self.deployed[fwd.wl];
-
-        let task_id = self.tasks.len();
-        let inst = &d.instances[fwd.node][inst_idx];
-        self.tasks.push(Task {
+        let task = Task {
             req: fwd.req,
             wl: fwd.wl,
             node: fwd.node,
@@ -754,12 +763,23 @@ impl Simulation {
             timer: None,
             enqueued_at: now,
             load_id: None,
-            server: inst.server,
+            server: self.deployed[fwd.wl].instances[fwd.node][inst_idx].server,
             cold: false,
             exec_started: now,
             phase_started: now,
             service_done: now,
-        });
+        };
+        let task_id = match self.free_tasks.pop() {
+            Some(slot) => {
+                self.tasks[slot] = task;
+                slot
+            }
+            None => {
+                self.tasks.push(task);
+                self.tasks.len() - 1
+            }
+        };
+        self.tasks_created += 1;
         self.requests[fwd.req as usize].node_task[fwd.node] = Some(task_id);
         if let Some(trace) = self.obs.trace.as_mut() {
             let d = &self.deployed[fwd.wl];
@@ -1106,9 +1126,8 @@ impl Simulation {
             }
         }
         if finished_request {
-            let r = &mut self.requests[req as usize];
-            r.outcome = Some(Outcome::Completed);
-            let arrival = r.arrival;
+            self.settle(req, Outcome::Completed);
+            let arrival = self.requests[req as usize].arrival;
             let e2e = now.since(arrival).as_millis();
             self.emit(
                 now,
@@ -1135,6 +1154,40 @@ impl Simulation {
                 });
             }
         }
+        self.free_task(task_id);
+    }
+
+    /// Record a request's outcome and release its per-node DAG bookkeeping:
+    /// no task of a settled request is live, and every later reader checks
+    /// `outcome` first.
+    fn settle(&mut self, req: u64, outcome: Outcome) {
+        let r = &mut self.requests[req as usize];
+        debug_assert!(r.outcome.is_none(), "request {req} settled twice");
+        r.outcome = Some(outcome);
+        r.node_task = Vec::new();
+        r.nested_pending = Vec::new();
+        r.remaining_async = Vec::new();
+    }
+
+    /// Return a `Done` task's slot to the free list and unlink it from its
+    /// request, so no `node_task` entry names a slot that is reused later.
+    fn free_task(&mut self, task_id: usize) {
+        let t = &self.tasks[task_id];
+        debug_assert_eq!(t.state, TaskState::Done, "freeing live task {task_id}");
+        debug_assert!(
+            t.timer.is_none() && t.load_id.is_none(),
+            "freed task {task_id} still holds a timer or a load"
+        );
+        // A settled request has already released its `node_task`.
+        if let Some(slot) = self.requests[t.req as usize].node_task.get_mut(t.node) {
+            debug_assert_eq!(*slot, Some(task_id));
+            *slot = None;
+        }
+        #[cfg(test)]
+        {
+            self.phases_freed += t.phase_idx;
+        }
+        self.free_tasks.push(task_id);
     }
 
     // ------------------------------------------------------------------
@@ -1310,7 +1363,7 @@ impl Simulation {
             instances_total: total,
             instances_alive: alive,
             instance_table_fp: fp,
-            tasks_created: self.tasks.len() as u64,
+            tasks_created: self.tasks_created,
             requests_created: self.requests.len() as u64,
             requests_settled: self.requests.iter().filter(|r| r.outcome.is_some()).count() as u64,
         }
@@ -1672,8 +1725,7 @@ impl Simulation {
             self.queue
                 .schedule(now.plus(delay), Ev::RetryRequest { req });
         } else {
-            let r = &mut self.requests[req as usize];
-            r.outcome = Some(Outcome::Failed);
+            self.settle(req, Outcome::Failed);
             self.emit(
                 now,
                 JournalEvent::Failed {
@@ -1687,8 +1739,8 @@ impl Simulation {
     }
 
     /// Abort every live task of a request (releasing instance slots, queue
-    /// positions and server loads) and reset its DAG bookkeeping so a retry
-    /// can re-run the whole call graph.
+    /// positions, server loads and task slots) and reset its DAG bookkeeping
+    /// so a retry can re-run the whole call graph.
     fn abort_request_tasks(&mut self, now: SimTime, req: u64) {
         let wl = self.requests[req as usize].wl;
         let nodes = self.deployed[wl].workload.graph.len();
@@ -1729,16 +1781,19 @@ impl Simulation {
                         .retain(|&t| t != tid);
                     freed.push((node, inst_idx));
                 }
-                TaskState::Done => {}
+                TaskState::Done => unreachable!("node_task names freed slot {tid}"),
             }
             self.tasks[tid].state = TaskState::Done;
+            self.free_task(tid);
         }
         {
+            // Freeing cleared every `node_task` entry.
             let r = &mut self.requests[req as usize];
-            r.node_task = vec![None; nodes];
-            r.nested_pending = vec![0; nodes];
+            debug_assert!(r.node_task.iter().all(Option::is_none));
+            r.nested_pending.fill(0);
             r.nodes_remaining = nodes;
-            r.remaining_async = self.deployed[wl].async_parents.clone();
+            r.remaining_async
+                .copy_from_slice(&self.deployed[wl].async_parents);
         }
         // Freed slots can admit queued tasks of other requests.
         for (node, inst_idx) in freed {
@@ -1842,6 +1897,94 @@ mod tests {
 
     fn small_sim(seed: u64) -> Simulation {
         Simulation::new(PlatformConfig::small(seed))
+    }
+
+    /// `free[slot]` iff the slot is on the free list (each at most once).
+    fn free_mask(sim: &Simulation) -> Vec<bool> {
+        let mut free = vec![false; sim.tasks.len()];
+        for &slot in &sim.free_tasks {
+            assert!(!free[slot], "slot {slot} freed twice");
+            free[slot] = true;
+        }
+        free
+    }
+
+    /// Slab slots that hold a live task.
+    fn live_slots(sim: &Simulation) -> Vec<usize> {
+        let free = free_mask(sim);
+        (0..free.len()).filter(|&i| !free[i]).collect()
+    }
+
+    /// Every free slot is a `Done` task holding no timer and no load, and
+    /// no request's `node_task` names one.
+    fn assert_free_slots_unlinked(sim: &Simulation) {
+        let free = free_mask(sim);
+        for &slot in &sim.free_tasks {
+            let t = &sim.tasks[slot];
+            assert_eq!(t.state, TaskState::Done, "free slot {slot}");
+            assert!(t.timer.is_none() && t.load_id.is_none(), "free slot {slot}");
+        }
+        for (req, r) in sim.requests.iter().enumerate() {
+            for &tid in r.node_task.iter().flatten() {
+                assert!(!free[tid], "request {req} names free slot {tid}");
+            }
+        }
+    }
+
+    /// The social-network chain and the e-commerce graph on the paper
+    /// testbed, one instance per node, spread round-robin over servers.
+    fn two_workload_testbed(seed: u64, horizon: SimTime) -> Simulation {
+        let mut sim = Simulation::new(PlatformConfig::paper_testbed(seed));
+        let n = sim.servers().len();
+        for (w, rps) in [
+            (socialnetwork::message_posting(), 30.0),
+            (workloads::ecommerce::browse_and_buy(), 20.0),
+        ] {
+            let placement: Vec<Vec<PlacementDecision>> = w
+                .graph
+                .ids()
+                .map(|id| {
+                    vec![PlacementDecision {
+                        server: id.0 % n,
+                        socket: 0,
+                    }]
+                })
+                .collect();
+            sim.deploy(Deployment {
+                workload: w,
+                placement,
+                arrivals: ArrivalSpec::OpenLoop(uniform_arrivals(rps, horizon)),
+            });
+        }
+        sim
+    }
+
+    #[test]
+    fn task_slab_tracks_live_tasks() {
+        let horizon = SimTime::from_secs(60.0);
+        let mut sim = two_workload_testbed(3, horizon);
+        sim.run_until(horizon);
+        let created = sim.tasks_created;
+        assert!(
+            (sim.tasks.len() as u64) * 100 < created,
+            "{} slots for {created} tasks",
+            sim.tasks.len()
+        );
+        // One `TaskDone` per task that finished its own service; the rest
+        // are still queued or executing.
+        let completions: u64 = sim
+            .report()
+            .workloads
+            .iter()
+            .flat_map(|w| &w.functions)
+            .map(|f| f.completions)
+            .sum();
+        let unserved = live_slots(&sim)
+            .into_iter()
+            .filter(|&i| matches!(sim.tasks[i].state, TaskState::Queued | TaskState::Executing))
+            .count() as u64;
+        assert_eq!(created, completions + unserved);
+        assert_free_slots_unlinked(&sim);
     }
 
     #[test]
@@ -2225,7 +2368,13 @@ mod tests {
             dispatched += 1;
             sim.dispatch(now, ev, horizon);
         }
-        let phases_run: usize = sim.tasks.iter().map(|t| t.phase_idx).sum();
+        // Slots are reused, so the phases of freed tasks come from the
+        // counter their slots fed when freed.
+        let phases_run: usize = sim.phases_freed
+            + live_slots(&sim)
+                .into_iter()
+                .map(|i| sim.tasks[i].phase_idx)
+                .sum::<usize>();
         assert_eq!(phase_ends, phases_run);
         assert!(sim.tasks.iter().all(|t| t.timer.is_none()));
         assert!(sim.queue.is_empty());
@@ -2243,32 +2392,11 @@ mod tests {
         // the queue holds one timer per executing task plus a bounded set
         // of other live events (one arrival chain per workload, the collect
         // tick, the fault tick, one gateway completion, one recovery per
-        // server). No retries or timeouts, so no per-request events.
-        let mut sim = Simulation::new(PlatformConfig::paper_testbed(3));
-        let n = sim.servers().len();
+        // server). No retries or timeouts, so no per-request events. At
+        // every collect tick, each freed task slot is unlinked.
         let horizon = SimTime::from_secs(60.0);
-        let mut workloads = 0;
-        for (w, rps) in [
-            (socialnetwork::message_posting(), 30.0),
-            (workloads::ecommerce::browse_and_buy(), 20.0),
-        ] {
-            let placement: Vec<Vec<PlacementDecision>> = w
-                .graph
-                .ids()
-                .map(|id| {
-                    vec![PlacementDecision {
-                        server: id.0 % n,
-                        socket: 0,
-                    }]
-                })
-                .collect();
-            sim.deploy(Deployment {
-                workload: w,
-                placement,
-                arrivals: ArrivalSpec::OpenLoop(uniform_arrivals(rps, horizon)),
-            });
-            workloads += 1;
-        }
+        let mut sim = two_workload_testbed(3, horizon);
+        let (workloads, n) = (sim.deployed.len(), sim.servers().len());
         let header = Json::obj().field("test", "stale phase ends");
         let journal = obs::journal::MemoryJournal::in_memory(&header, Some(1_000_000));
         sim.set_obs(
@@ -2299,8 +2427,10 @@ mod tests {
             );
             if collect {
                 executing_at.push((now.as_micros(), executing));
+                assert_free_slots_unlinked(&sim);
             }
         }
+        assert_free_slots_unlinked(&sim);
         // Nothing is left to dispatch; this only closes the journal.
         sim.run_until(horizon);
         let failed: u64 = sim.report().workloads.iter().map(|w| w.failed).sum();

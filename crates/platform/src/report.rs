@@ -2,7 +2,7 @@
 //! and overhead statistics after a simulation.
 
 use metricsd::{Metric, MetricVector};
-use obs::json::Json;
+use obs::json::write_num;
 use simcore::stats::{Cdf, Summary};
 use simcore::SimTime;
 
@@ -207,81 +207,96 @@ impl RunReport {
         ok as f64 / total as f64
     }
 
-    /// Canonical JSON tree of the whole report. Every field the struct
+    /// The byte-stable report artifact: one JSON line plus a trailing
+    /// newline, written straight into one string. Every field the struct
     /// carries is included, latencies and metric samples verbatim, so two
-    /// reports are equal iff their trees render identically — the byte-level
-    /// artifact `repro replay` diffs against the live run.
-    pub fn to_json(&self) -> Json {
-        let workloads: Vec<Json> = self
-            .workloads
-            .iter()
-            .map(|w| {
-                let functions: Vec<Json> = w
-                    .functions
-                    .iter()
-                    .map(|f| {
-                        let samples: Vec<Json> = f
-                            .metric_samples
-                            .iter()
-                            .map(|m| {
-                                Json::Arr(m.as_slice().iter().map(|&v| Json::Num(v)).collect())
-                            })
-                            .collect();
-                        Json::obj()
-                            .field("local_latencies_ms", f.local_latencies_ms.clone())
-                            .field("metric_samples", Json::Arr(samples))
-                            .field("completions", f.completions)
-                            .field("cold_starts", f.cold_starts)
-                    })
-                    .collect();
-                Json::obj()
-                    .field("e2e_latencies_ms", w.e2e_latencies_ms.clone())
-                    .field("arrivals", w.arrivals)
-                    .field("completions", w.completions)
-                    .field("shed", w.shed)
-                    .field("failed", w.failed)
-                    .field("retries", w.retries)
-                    .field("functions", Json::Arr(functions))
-            })
-            .collect();
-        let utilization: Vec<Json> = self
-            .utilization
-            .iter()
-            .map(|u| {
-                Json::obj()
-                    .field("at_us", u.at.as_micros())
-                    .field("cpu", u.cpu.clone())
-                    .field("memory", u.memory.clone())
-                    .field("function_density", u.function_density)
-                    .field("instances", u.instances)
-            })
-            .collect();
-        let scale_outs: Vec<Json> = self
-            .scale_outs
-            .iter()
-            .map(|&(at, wl, node)| {
-                Json::Arr(vec![
-                    Json::from(at.as_micros()),
-                    Json::from(wl),
-                    Json::from(node),
-                ])
-            })
-            .collect();
-        Json::obj()
-            .field("workloads", Json::Arr(workloads))
-            .field("utilization", Json::Arr(utilization))
-            .field("gateway_forward_ms", self.gateway_forward_ms.clone())
-            .field("scale_outs", Json::Arr(scale_outs))
-            .field("horizon_us", self.horizon.as_micros())
-    }
-
-    /// [`RunReport::to_json`] rendered as one line plus a trailing newline —
-    /// the byte-stable report artifact.
+    /// reports are equal iff they render identically — the artifact
+    /// `repro replay` diffs against the live run. Numbers render as
+    /// [`write_num`] does (`null` for non-finite values, integers without a
+    /// fractional part); counts and timestamps go through `f64`.
     pub fn render_json(&self) -> String {
-        let mut out = self.to_json().render();
-        out.push('\n');
+        let mut out = String::from("{\"workloads\":[");
+        for (i, w) in self.workloads.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"e2e_latencies_ms\":");
+            write_nums(&mut out, &w.e2e_latencies_ms);
+            write_field(&mut out, "arrivals", w.arrivals as f64);
+            write_field(&mut out, "completions", w.completions as f64);
+            write_field(&mut out, "shed", w.shed as f64);
+            write_field(&mut out, "failed", w.failed as f64);
+            write_field(&mut out, "retries", w.retries as f64);
+            out.push_str(",\"functions\":[");
+            for (j, f) in w.functions.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"local_latencies_ms\":");
+                write_nums(&mut out, &f.local_latencies_ms);
+                out.push_str(",\"metric_samples\":[");
+                for (k, m) in f.metric_samples.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    write_nums(&mut out, m.as_slice());
+                }
+                out.push(']');
+                write_field(&mut out, "completions", f.completions as f64);
+                write_field(&mut out, "cold_starts", f.cold_starts as f64);
+                out.push('}');
+            }
+            out.push_str("]}");
+        }
+        out.push_str("],\"utilization\":[");
+        for (i, u) in self.utilization.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"at_us\":");
+            write_num(u.at.as_micros() as f64, &mut out);
+            out.push_str(",\"cpu\":");
+            write_nums(&mut out, &u.cpu);
+            out.push_str(",\"memory\":");
+            write_nums(&mut out, &u.memory);
+            write_field(&mut out, "function_density", u.function_density);
+            write_field(&mut out, "instances", u.instances as f64);
+            out.push('}');
+        }
+        out.push_str("],\"gateway_forward_ms\":");
+        write_nums(&mut out, &self.gateway_forward_ms);
+        out.push_str(",\"scale_outs\":[");
+        for (i, &(at, wl, node)) in self.scale_outs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_nums(&mut out, &[at.as_micros() as f64, wl as f64, node as f64]);
+        }
+        out.push(']');
+        write_field(&mut out, "horizon_us", self.horizon.as_micros() as f64);
+        out.push_str("}\n");
         out
     }
+}
+
+/// `,"key":x` — a numeric field after an object's first.
+fn write_field(out: &mut String, key: &str, x: f64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    write_num(x, out);
+}
+
+/// `[a,b,...]`.
+fn write_nums(out: &mut String, values: &[f64]) {
+    out.push('[');
+    for (i, &x) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_num(x, out);
+    }
+    out.push(']');
 }
 
 /// Mean over servers with non-zero utilization (an inactive server does not
@@ -375,6 +390,75 @@ mod tests {
             (r.cpu_util_cdf().mean() - 0.5).abs() < 1e-12,
             "inactive servers excluded"
         );
+    }
+
+    #[test]
+    fn render_json_pins_the_artifact_format() {
+        let mut values = [0.0; metricsd::NUM_METRICS];
+        values[0] = 1.25;
+        values[1] = -0.0;
+        values[2] = f64::NAN;
+        let r = RunReport {
+            workloads: vec![
+                WorkloadSeries {
+                    e2e_latencies_ms: vec![
+                        f64::NAN,
+                        f64::INFINITY,
+                        f64::NEG_INFINITY,
+                        -0.0,
+                        9_007_199_254_740_992.0, // 2^53
+                        1e20,
+                        12.5,
+                    ],
+                    arrivals: 4,
+                    completions: 2,
+                    shed: 1,
+                    failed: 1,
+                    retries: 3,
+                    functions: vec![
+                        FunctionSeries {
+                            local_latencies_ms: vec![0.1, 7.0],
+                            metric_samples: vec![],
+                            completions: 2,
+                            cold_starts: 1,
+                        },
+                        FunctionSeries {
+                            metric_samples: vec![MetricVector::from_array(values)],
+                            ..Default::default()
+                        },
+                    ],
+                },
+                WorkloadSeries::default(),
+            ],
+            utilization: vec![UtilizationSample {
+                at: SimTime(1_000_000),
+                cpu: vec![0.5, 0.0],
+                memory: vec![0.25, 1.0],
+                function_density: 0.75,
+                instances: 3,
+            }],
+            gateway_forward_ms: vec![0.3],
+            scale_outs: vec![(SimTime(2_500_000), 0, 1)],
+            horizon: SimTime(3_000_000),
+        };
+        let json = r.render_json();
+        let expected = concat!(
+            r#"{"workloads":[{"e2e_latencies_ms":[null,null,null,0,9007199254740992,"#,
+            r#"100000000000000000000,12.5],"arrivals":4,"completions":2,"shed":1,"#,
+            r#""failed":1,"retries":3,"functions":[{"local_latencies_ms":[0.1,7],"#,
+            r#""metric_samples":[],"completions":2,"cold_starts":1},"#,
+            r#"{"local_latencies_ms":[],"metric_samples":[[1.25,0,null,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]],"#,
+            r#""completions":0,"cold_starts":0}]},"#,
+            r#"{"e2e_latencies_ms":[],"arrivals":0,"completions":0,"shed":0,"failed":0,"#,
+            r#""retries":0,"functions":[]}],"#,
+            r#""utilization":[{"at_us":1000000,"cpu":[0.5,0],"memory":[0.25,1],"#,
+            r#""function_density":0.75,"instances":3}],"gateway_forward_ms":[0.3],"#,
+            r#""scale_outs":[[2500000,0,1]],"horizon_us":3000000}"#,
+            "\n"
+        );
+        assert_eq!(json, expected);
+        let parsed = obs::json::Json::parse(&json).expect("the report is valid JSON");
+        assert_eq!(parsed.get("horizon_us").and_then(|h| h.as_f64()), Some(3e6));
     }
 
     #[test]
