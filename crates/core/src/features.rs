@@ -33,11 +33,11 @@ pub fn featurize(scenario: &Scenario, config: &CodingConfig) -> Vec<f64> {
 
 /// [`featurize`] into a caller-owned scratch buffer, clearing it first.
 ///
-/// The scheduler's binary search and the consolidation pass featurize one
-/// hypothetical scenario per probe; reusing one scratch vector across
-/// probes avoids a fresh `32nS + 2n`-dimensional allocation (2580 doubles
-/// at the paper's coding) on every predictor call. The contents written are
-/// identical to [`featurize`]'s return value.
+/// The scheduler's binary search featurizes one hypothetical scenario per
+/// probe; reusing one scratch vector across probes avoids a fresh
+/// `32nS + 2n`-dimensional allocation (2580 doubles at the paper's coding)
+/// on every predictor call. The contents written are identical to
+/// [`featurize`]'s return value.
 pub fn featurize_into(scenario: &Scenario, config: &CodingConfig, out: &mut Vec<f64>) {
     assert!(
         scenario.len() <= config.max_workloads,

@@ -127,12 +127,12 @@ impl GsightPredictor {
     }
 
     /// [`predict_batch`](Self::predict_batch) reusing a caller-owned
-    /// featurization scratch buffer — the allocation-free path for
-    /// schedulers that batch-probe repeatedly (e.g. consolidation's
-    /// per-move SLA holds). Each scenario is featurized into `scratch` and
-    /// walked by the model while the row is still cache-hot, exactly as
-    /// [`predict_with_scratch`](Self::predict_with_scratch) does; the
-    /// buffer's prior contents and capacity never affect the result.
+    /// featurization scratch buffer — the allocation-free path for callers
+    /// that batch-probe repeatedly. Each scenario is featurized into
+    /// `scratch` and walked by the model while the row is still cache-hot,
+    /// exactly as [`predict_with_scratch`](Self::predict_with_scratch)
+    /// does; the buffer's prior contents and capacity never affect the
+    /// result.
     pub fn predict_batch_with_scratch(
         &self,
         scenarios: &[Scenario],

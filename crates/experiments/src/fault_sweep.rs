@@ -79,33 +79,25 @@ pub fn sweep_fault_config(point: SweepPoint, seed: u64) -> FaultConfig {
 /// Run the chaos workload mix at one sweep point. Fully deterministic in
 /// `(point, seed, quick)`.
 pub fn chaos_run(point: SweepPoint, seed: u64, quick: bool) -> ChaosOutcome {
-    chaos_run_with_obs(
+    chaos_run_scaled(
         point,
         seed,
         quick,
         obs::Obs::telemetry_only().with_fault_log(),
+        1,
     )
     .0
 }
 
 /// [`chaos_run`] with a caller-supplied observability bundle (journal sink,
-/// Prometheus hub, …). The simulation itself is bit-identical for any
-/// bundle — observability is strictly write-only. Returns the outcome plus
-/// the post-run bundle (fault log already moved into the outcome).
-pub fn chaos_run_with_obs(
-    point: SweepPoint,
-    seed: u64,
-    quick: bool,
-    bundle: obs::Obs,
-) -> (ChaosOutcome, obs::Obs) {
-    chaos_run_scaled(point, seed, quick, bundle, 1)
-}
-
-/// [`chaos_run_with_obs`] on a topology `scale` that multiplies the paper's
+/// Prometheus hub, …) on a topology `scale` that multiplies the paper's
 /// 8-node testbed and its workload mix proportionally — `scale` 8 is a
 /// 64-server cluster fed 8× the request rate and 8× the background-job
 /// cadence, so per-server load (and thus the scheduling regime) matches
-/// the base point.
+/// the base point; `scale` 1 is the testbed itself. The simulation is
+/// bit-identical for any bundle — observability is strictly write-only.
+/// Returns the outcome plus the post-run bundle (fault log already moved
+/// into the outcome).
 pub fn chaos_run_scaled(
     point: SweepPoint,
     seed: u64,
@@ -333,7 +325,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
                 bundle = std::mem::take(&mut bundle).with_journal(Box::new(j));
                 path
             });
-        let (out, post) = chaos_run_with_obs(point, seed, opts.quick, bundle);
+        let (out, post) = chaos_run_scaled(point, seed, opts.quick, bundle, 1);
         if let Some(path) = journal_path {
             result.note(format!("journal -> {}", path.display()));
             // Live-run artifacts next to the journal, so `repro replay` can

@@ -216,9 +216,9 @@ pub fn predict_throughput(quick: bool) -> PredictThroughput {
         .map(|(s, _)| s.clone())
         .collect();
 
-    // The batch path is measured as the schedulers drive it: a caller-owned
-    // featurization buffer reused across calls (`predict_batch_with_scratch`,
-    // cf. consolidation's per-move SLA holds).
+    // The batch path is measured with a caller-owned featurization buffer
+    // reused across calls (`predict_batch_with_scratch`), the way the
+    // binary search's probes reuse theirs.
     let mut row_scratch: Vec<f64> = Vec::new();
 
     // Warm up both paths (scratch growth, branch predictors).

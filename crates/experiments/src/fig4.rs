@@ -63,27 +63,17 @@ pub fn run_condition(
     quick: bool,
     seed: u64,
 ) -> PropagationRun {
-    run_condition_observed(book, corunner, victim, condition, qps, quick, seed, false).0
-}
-
-/// [`run_condition`] with optional observability: when `record` is set the
-/// simulation runs with [`Obs::recording`] and the collected trace +
-/// telemetry come back alongside the measurements.
-#[allow(clippy::too_many_arguments)]
-pub fn run_condition_observed(
-    book: &ProfileBook,
-    corunner: &str,
-    victim: usize,
-    condition: Condition,
-    qps: f64,
-    quick: bool,
-    seed: u64,
-    record: bool,
-) -> (PropagationRun, Obs) {
-    let bundle = if record { Obs::recording() } else { Obs::off() };
-    let (run, obs, _report) =
-        run_condition_with_obs(book, corunner, victim, condition, qps, quick, seed, bundle);
-    (run, obs)
+    run_condition_with_obs(
+        book,
+        corunner,
+        victim,
+        condition,
+        qps,
+        quick,
+        seed,
+        Obs::off(),
+    )
+    .0
 }
 
 /// [`run_condition`] with a caller-supplied observability bundle (journal
@@ -197,7 +187,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
     ] {
         let seed = seed_stream(SEED, victim as u64);
         let record = opts.observing();
-        let (base, base_obs) = run_condition_observed(
+        let (base, base_obs, _) = run_condition_with_obs(
             &book,
             "matrix-multiplication",
             victim,
@@ -205,7 +195,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
             40.0,
             quick,
             seed,
-            record,
+            if record { Obs::recording() } else { Obs::off() },
         );
         // The interfered run is the panel's payload, so it is the journaled
         // one: attach a journal sink and/or live Prometheus hub when asked.

@@ -21,7 +21,7 @@
 //! * **bench** ([`journal_bench`]): measure journaling write overhead and
 //!   replay speedup on the quick-mode chaos point.
 
-use crate::fault_sweep::{chaos_run_scaled, chaos_run_with_obs, ChaosOutcome, SweepPoint};
+use crate::fault_sweep::{chaos_run_scaled, ChaosOutcome, SweepPoint};
 use obs::journal::{
     check_invariants, checkpoint_violations, read_journal, read_journal_tolerant, MemoryJournal,
 };
@@ -353,7 +353,7 @@ pub fn journal_bench() -> JournalBench {
     {
         let t0 = std::time::Instant::now();
         let bundle = Obs::telemetry_only().with_fault_log();
-        let _ = chaos_run_with_obs(point, SEED, false, bundle);
+        let _ = chaos_run_scaled(point, SEED, false, bundle, 1);
         let pair_baseline_s = t0.elapsed().as_secs_f64();
         baseline_wall_s = baseline_wall_s.min(pair_baseline_s);
 

@@ -1,23 +1,34 @@
 //! Observability for the simulated serverless platform.
 //!
-//! Four independent facilities, all **nullable**: every producer site in the
-//! platform/scheduler first checks whether its sink is present, so a run
-//! with observability off pays one branch per site and allocates nothing.
+//! [`Obs`] is the bundle of sinks a simulation carries. Its five fields are
+//! all **nullable**: every producer site in the platform first checks
+//! whether its sink is present, so a run with observability off pays one
+//! branch per site and allocates nothing.
 //!
-//! * [`trace`] — sim-time request tracing. Each invocation becomes a span
-//!   tree (gateway forward → queue wait → cold start → phase execution →
-//!   nested/async downstream calls) recorded into a [`trace::MemorySink`]
-//!   and exportable as Chrome trace-event JSON that Perfetto and
-//!   `chrome://tracing` load directly.
-//! * [`telemetry`] — a registry of named counters, gauges and log-bucket
-//!   histograms (queue depth, cold starts, autoscaler actions, contention
-//!   recomputes, SLA violations, …) dumped as JSONL or CSV.
-//! * [`profile`] — *wall-clock* stage profiling (predictor inference /
-//!   incremental update, scheduler pipeline stages) with percentile
-//!   summaries on top of `simcore::stats`.
-//! * [`audit`] — the scheduler audit log: one record per placement decision
-//!   with every candidate spread the binary search evaluated, its predicted
-//!   QoS, the SLA verdict, and the chosen placement.
+//! * `trace` ([`trace`]) — sim-time request tracing. Each invocation
+//!   becomes a span tree (gateway forward → queue wait → cold start →
+//!   phase execution → nested/async downstream calls) recorded into a
+//!   [`trace::MemorySink`] and exportable as Chrome trace-event JSON that
+//!   Perfetto and `chrome://tracing` load directly.
+//! * `telemetry` ([`telemetry`]) — a registry of named counters, gauges and
+//!   log-bucket histograms (queue depth, cold starts, autoscaler actions,
+//!   contention recomputes, SLA violations, …) dumped as JSONL or CSV.
+//! * `faults` ([`faultlog`]) — every injected fault and every recovery or
+//!   degradation action, in event order.
+//! * `journal` ([`journal`]) — the append-only binary event WAL that
+//!   replays into the run's artifacts.
+//! * `prom` ([`prom`]) — the live Prometheus text-exposition target.
+//!
+//! Two facilities live outside the bundle, on the scheduler side:
+//!
+//! * [`profile`] — *wall-clock* stage profiling ([`WallProfiler`]) with
+//!   percentile summaries on top of `simcore::stats`. `sched::overhead`
+//!   and `GsightPlacer`'s probe profiler record into it, and the Fig. 14
+//!   overhead study reports it.
+//! * [`audit`] — the scheduler audit log ([`AuditLog`]): one record per
+//!   placement decision with every candidate spread the binary search
+//!   evaluated, its predicted QoS, the SLA verdict, and the chosen
+//!   placement. `GsightPlacer` keeps it, and Fig. 11 exports it.
 //!
 //! [`json`] is the hand-rolled JSON writer/parser the exporters share — the
 //! workspace is offline, so no serde.

@@ -500,6 +500,10 @@ impl Simulation {
             let mut insts = Vec::with_capacity(placements.len());
             for p in placements {
                 assert!(p.server < self.servers.len(), "server out of range");
+                assert!(
+                    p.socket < self.servers[p.server].spec().sockets as usize,
+                    "socket out of range"
+                );
                 insts.push(Instance {
                     server: p.server,
                     socket: p.socket,
@@ -2189,6 +2193,20 @@ mod tests {
                 server: 0,
                 socket: 0,
             }]],
+            arrivals: ArrivalSpec::OpenLoop(vec![]),
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "socket")]
+    fn deploy_rejects_out_of_range_socket() {
+        let mut sim = small_sim(1);
+        let w = socialnetwork::message_posting();
+        let sockets = sim.servers()[0].spec().sockets as usize;
+        let placement = place_all(&w, 0, sockets);
+        sim.deploy(Deployment {
+            workload: w,
+            placement,
             arrivals: ArrivalSpec::OpenLoop(vec![]),
         });
     }

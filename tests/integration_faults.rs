@@ -1,7 +1,8 @@
 //! Fault-injection integration: request-outcome conservation, exact
-//! replayability, bounded backoff, slot release after timeouts, and
-//! crash-drain rescheduling — checked across many seeds, end to end
-//! through the platform engine with the chaos layer enabled.
+//! replayability, bounded backoff and slot release after timeouts —
+//! checked across many seeds, end to end through the platform engine with
+//! the chaos layer enabled — plus placement errors against a trained
+//! predictor.
 
 use platform::engine::ScaleConfig;
 use platform::scale::PlacementDecision;
@@ -250,15 +251,13 @@ fn timed_out_request_releases_its_instance_slot() {
     );
 }
 
-// --- crash-drain rescheduling against a trained predictor -----------------
+// --- placement against a trained predictor --------------------------------
 
 mod drain {
     use cluster::Demand;
     use gsight::{CodingConfig, ColoWorkload, GsightConfig, GsightPredictor, QosTarget, Scenario};
     use metricsd::{FunctionProfile, Metric, MetricVector, ProfileSample, WorkloadProfile};
     use mlcore::ModelKind;
-    use sched::placer::SlaSpec;
-    use sched::{apply_plan_checked, plan_drain, PlanError, WorkloadEntry};
     use simcore::{SimRng, SimTime};
     use workloads::WorkloadClass;
 
@@ -320,113 +319,7 @@ mod drain {
         p
     }
 
-    fn entry(name: &str, sla: Option<f64>, instances: Vec<(usize, usize)>) -> WorkloadEntry {
-        WorkloadEntry {
-            name: name.into(),
-            class: WorkloadClass::LatencySensitive,
-            profile: profile(2, if sla.is_some() { 2.0 } else { 1.0 }),
-            demands: vec![Demand::new(1.0, 2.0, 4.0, 0.0, 0.0, 0.5); 2],
-            sla: SlaSpec { min_ipc: sla },
-            instances,
-        }
-    }
-
-    fn random_entries(rng: &mut SimRng) -> Vec<WorkloadEntry> {
-        vec![
-            entry("a", Some(0.5), (0..3).map(|_| (0, rng.index(S))).collect()),
-            entry("b", None, (0..3).map(|_| (1, rng.index(S))).collect()),
-        ]
-    }
-
-    /// Satellite 3: across 20 seeds, draining a crashed server never
-    /// migrates anything *onto* the dead server, fully evacuates it, and
-    /// the liveness-checked apply accepts the plan.
-    #[test]
-    fn drain_never_targets_the_dead_server_across_20_seeds() {
-        let p = predictor();
-        for seed in 0..20u64 {
-            let mut rng = SimRng::new(seed);
-            let mut entries = random_entries(&mut rng);
-            let dead = rng.index(S);
-            let alive: Vec<bool> = (0..S).map(|s| s != dead).collect();
-            let plan = plan_drain(&p, &entries, S, &alive);
-            for m in &plan.migrations {
-                assert_eq!(m.from, dead, "seed {seed}: drained a healthy server");
-                assert!(alive[m.to], "seed {seed}: migrated onto the dead server");
-            }
-            let victims: usize = entries
-                .iter()
-                .flat_map(|e| &e.instances)
-                .filter(|&&(_, s)| s == dead)
-                .count();
-            assert_eq!(
-                plan.migrations.len(),
-                victims,
-                "seed {seed}: incomplete drain"
-            );
-            apply_plan_checked(&mut entries, &plan, &alive)
-                .unwrap_or_else(|e| panic!("seed {seed}: drain plan rejected: {e}"));
-            assert!(
-                entries
-                    .iter()
-                    .all(|e| e.instances.iter().all(|&(_, s)| s != dead)),
-                "seed {seed}: instances left on the crashed server"
-            );
-        }
-    }
-
-    /// Satellite 3: a plan computed before a crash is rejected — a dead
-    /// migration target is an explicit error, and a stale plan (instances
-    /// moved since planning) is rejected without mutating anything.
-    #[test]
-    fn pre_crash_plans_are_rejected_by_checked_apply() {
-        let p = predictor();
-        let mut entries = vec![
-            entry("a", Some(0.5), vec![(0, 0), (1, 1)]),
-            entry("b", None, vec![(0, 0), (1, 2)]),
-        ];
-        let all_alive = vec![true; S];
-        let plan = plan_drain(&p, &entries, S, &{
-            let mut a = all_alive.clone();
-            a[0] = false;
-            a
-        });
-        assert!(
-            !plan.migrations.is_empty(),
-            "fixture needs instances on server 0"
-        );
-        // The crash landscape changed after planning: the plan's first
-        // migration target died too.
-        let target = plan.migrations[0].to;
-        let mut alive = all_alive.clone();
-        alive[target] = false;
-        let before: Vec<Vec<(usize, usize)>> =
-            entries.iter().map(|e| e.instances.clone()).collect();
-        assert_eq!(
-            apply_plan_checked(&mut entries, &plan, &alive),
-            Err(PlanError::DeadTarget { server: target })
-        );
-        // Stale: applying the same plan twice — the second apply finds the
-        // instances already moved off server 0.
-        apply_plan_checked(&mut entries, &plan, &all_alive).expect("first apply");
-        let err = apply_plan_checked(&mut entries, &plan, &all_alive);
-        assert!(
-            matches!(err, Err(PlanError::Stale { .. })),
-            "re-applying a consumed plan must be stale, got {err:?}"
-        );
-        // The rejected applies must not have partially mutated state: only
-        // the one successful apply's effect is visible.
-        let moved: Vec<Vec<(usize, usize)>> = entries.iter().map(|e| e.instances.clone()).collect();
-        assert_ne!(before, moved, "successful apply must move instances");
-        assert!(
-            entries
-                .iter()
-                .all(|e| e.instances.iter().all(|&(_, s)| s != 0)),
-            "server 0 must be evacuated exactly once"
-        );
-    }
-
-    /// Satellite 4: an empty candidate set (every server dead or full) is a
+    /// An empty candidate set (every server dead or full) is a
     /// recoverable error from the binary-search placement, not a panic.
     #[test]
     fn empty_candidate_set_is_an_error_end_to_end() {

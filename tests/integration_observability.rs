@@ -4,7 +4,7 @@
 //! that shows the Fig. 4 hotspot signature (queue-wait growth at the
 //! interfered function).
 
-use experiments::fig4::{run_condition, run_condition_observed, Condition};
+use experiments::fig4::{run_condition, run_condition_with_obs, Condition};
 use experiments::{all_experiments, RunOpts};
 use obs::json::Json;
 use obs::trace::nesting_violations;
@@ -32,7 +32,7 @@ fn tracing_preserves_determinism_and_exports_well_formed_spans() {
         true,
         7,
     );
-    let (observed, obs) = run_condition_observed(
+    let (observed, obs, _) = run_condition_with_obs(
         &book,
         "matrix-multiplication",
         0,
@@ -40,7 +40,7 @@ fn tracing_preserves_determinism_and_exports_well_formed_spans() {
         40.0,
         true,
         7,
-        true,
+        obs::Obs::recording(),
     );
     assert_eq!(plain, observed, "recording must not change any measurement");
 
