@@ -77,11 +77,6 @@ impl PipelineProfile {
         self.profiler.record_ms(STAGE_DECIDE, ms);
     }
 
-    /// Time a decision-making closure (wall clock).
-    pub fn time_decide<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        self.profiler.time(STAGE_DECIDE, f)
-    }
-
     /// Record an instance-starting sample (ms).
     pub fn start_ms(&mut self, ms: f64) {
         self.profiler.record_ms(STAGE_START, ms);
@@ -121,7 +116,6 @@ impl PipelineProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn breakdown_total_and_fractions() {
@@ -156,18 +150,5 @@ mod tests {
         assert!(p.summary("nonexistent stage").is_none());
         let table = p.render_table();
         assert!(table.contains(STAGE_FORWARD) && table.contains(STAGE_START));
-    }
-
-    #[test]
-    fn time_decide_measures_wall_clock() {
-        let mut p = PipelineProfile::new();
-        let out = p.time_decide(|| {
-            std::thread::sleep(Duration::from_millis(2));
-            7
-        });
-        assert_eq!(out, 7);
-        let s = p.summary(STAGE_DECIDE).unwrap();
-        assert_eq!(s.count, 1);
-        assert!(s.mean >= 1.5);
     }
 }

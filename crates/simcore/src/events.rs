@@ -109,11 +109,6 @@ impl<E> EventQueue<E> {
         self.heap.push(at, seq, event)
     }
 
-    /// Schedule `event` after a delay relative to the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) -> EventId {
-        self.schedule(self.now.plus(delay), event)
-    }
-
     /// Move a pending event to time `at`. It takes a new sequence number,
     /// so it orders exactly as a fresh [`EventQueue::schedule`] would.
     ///
@@ -225,15 +220,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime(100));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(50), 1);
-        q.pop();
-        q.schedule_in(SimTime(25), 2);
-        assert_eq!(q.pop().unwrap(), (SimTime(75), 2));
     }
 
     #[test]

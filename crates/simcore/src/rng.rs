@@ -86,13 +86,6 @@ impl SimRng {
         (self.next_u64_raw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi, "range_f64 bounds inverted");
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Uniform `usize` in `[0, n)`. Panics if `n == 0`.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {
@@ -132,19 +125,6 @@ impl SimRng {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.next_u64_raw()
-    }
-
-    /// Fill a byte slice with uniform random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
     }
 }
 
@@ -255,16 +235,5 @@ mod tests {
         let _ = c.state();
         let mut d = SimRng::new(42);
         assert_eq!(c.next_u64(), d.next_u64());
-    }
-
-    #[test]
-    fn fill_bytes_deterministic() {
-        let mut a = SimRng::new(21);
-        let mut b = SimRng::new(21);
-        let mut ba = [0u8; 37];
-        let mut bb = [0u8; 37];
-        a.fill_bytes(&mut ba);
-        b.fill_bytes(&mut bb);
-        assert_eq!(ba, bb);
     }
 }

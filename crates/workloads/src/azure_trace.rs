@@ -8,7 +8,7 @@
 //! redistributable here, so this module generates rates and duration/memory
 //! samples matching those published statistics (the DESIGN.md substitution).
 
-use simcore::dist::{lognormal, poisson};
+use simcore::dist::lognormal;
 use simcore::{SimRng, SimTime};
 
 /// Seconds per simulated day.
@@ -24,7 +24,8 @@ pub struct RateProfile {
     pub diurnal_amplitude: f64,
     /// Weekend rate multiplier (< 1 for business workloads).
     pub weekend_factor: f64,
-    /// Relative rate jitter applied per sampling interval.
+    /// Relative rate jitter. Only [`crate::loadgen::profile_arrivals`]
+    /// reads it, to widen its thinning bound.
     pub jitter: f64,
 }
 
@@ -63,14 +64,6 @@ impl RateProfile {
             1.0
         };
         (self.base_rps * diurnal * weekly).max(0.0)
-    }
-
-    /// Sample the number of invocations in `[t, t + dt)` — Poisson around
-    /// the jittered mean rate.
-    pub fn invocations_in(&self, t: SimTime, dt: SimTime, rng: &mut SimRng) -> u64 {
-        let mean = self.rate_at(t) * dt.as_secs();
-        let jittered = mean * (1.0 + self.jitter * (2.0 * rng.f64() - 1.0));
-        poisson(rng, jittered.max(0.0))
     }
 }
 
@@ -128,18 +121,6 @@ mod tests {
         for h in 0..48 {
             assert_eq!(p.rate_at(SimTime::from_secs(h as f64 * 3600.0)), 42.0);
         }
-    }
-
-    #[test]
-    fn invocation_counts_track_rate() {
-        let p = RateProfile::constant(50.0);
-        let mut rng = SimRng::new(1);
-        let n = 2000;
-        let total: u64 = (0..n)
-            .map(|_| p.invocations_in(SimTime::ZERO, SimTime::from_secs(1.0), &mut rng))
-            .sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 50.0).abs() < 1.0, "mean {mean}");
     }
 
     #[test]

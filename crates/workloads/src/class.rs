@@ -24,36 +24,6 @@ pub enum WorkloadClass {
 }
 
 impl WorkloadClass {
-    /// Table-1 abbreviation.
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            WorkloadClass::Background => "BG",
-            WorkloadClass::ShortTerm => "SC",
-            WorkloadClass::LatencySensitive => "LS",
-        }
-    }
-
-    /// Table-1 description.
-    pub fn description(self) -> &'static str {
-        match self {
-            WorkloadClass::Background => {
-                "triggered or scheduled intermittently; run from time to time without latency requirements"
-            }
-            WorkloadClass::ShortTerm => {
-                "minute-level processing times; millisecond changes in completion times are trivial"
-            }
-            WorkloadClass::LatencySensitive => {
-                "frequent invocations; millisecond latency increases degrade user experience"
-            }
-        }
-    }
-
-    /// Whether this class is ever a QoS *prediction target*. BG+BG
-    /// colocations never call the predictor (paper §3.3).
-    pub fn is_prediction_target(self) -> bool {
-        !matches!(self, WorkloadClass::Background)
-    }
-
     /// Whether the class uses the start-delay/lifetime temporal code
     /// (SC/BG) rather than the zeroed LS form.
     pub fn uses_temporal_code(self) -> bool {
@@ -64,20 +34,6 @@ impl WorkloadClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn abbrevs_match_table1() {
-        assert_eq!(WorkloadClass::Background.abbrev(), "BG");
-        assert_eq!(WorkloadClass::ShortTerm.abbrev(), "SC");
-        assert_eq!(WorkloadClass::LatencySensitive.abbrev(), "LS");
-    }
-
-    #[test]
-    fn bg_is_never_a_target() {
-        assert!(!WorkloadClass::Background.is_prediction_target());
-        assert!(WorkloadClass::ShortTerm.is_prediction_target());
-        assert!(WorkloadClass::LatencySensitive.is_prediction_target());
-    }
 
     #[test]
     fn ls_zeroes_temporal_code() {

@@ -18,9 +18,6 @@
 //! * [`azure_trace`] — diurnal/weekly invocation-rate generation matching
 //!   the published Azure characterization.
 //! * [`loadgen`] — the open-loop load generator of paper §6.4.
-//! * [`trace_io`] — CSV import/export of invocation traces, so a real
-//!   (e.g. Azure) trace can be plugged in where this reproduction uses its
-//!   synthetic equivalent.
 //! * [`population`] — synthetic function populations drawn from the Azure
 //!   duration/memory distributions, for high-density scale tests.
 
@@ -48,7 +45,6 @@ pub mod functionbench;
 pub mod loadgen;
 pub mod population;
 pub mod socialnetwork;
-pub mod trace_io;
 
 pub use class::WorkloadClass;
 pub use dag::{CallGraph, CallKind, NodeId};

@@ -68,15 +68,6 @@ pub fn uniform_arrivals(rps: f64, horizon: SimTime) -> Vec<SimTime> {
         .collect()
 }
 
-/// The QPS sweep levels the profiling phase tests each LS workload at
-/// (fractions of a nominal maximum load).
-pub fn qps_sweep(max_qps: f64, levels: usize) -> Vec<f64> {
-    assert!(levels > 0);
-    (1..=levels)
-        .map(|i| max_qps * i as f64 / levels as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +125,5 @@ mod tests {
         let arr = uniform_arrivals(10.0, SimTime::from_secs(1.0));
         assert_eq!(arr.len(), 10);
         assert_eq!(arr[1].since(arr[0]), SimTime::from_millis(100.0));
-    }
-
-    #[test]
-    fn qps_sweep_ascending_to_max() {
-        let sweep = qps_sweep(200.0, 4);
-        assert_eq!(sweep, vec![50.0, 100.0, 150.0, 200.0]);
     }
 }
