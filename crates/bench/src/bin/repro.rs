@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--quick] [--obs] [--trace-dir DIR] [--journal-dir DIR]
-//!       [--serve ADDR] [--json PATH] [--seed N] [id...]
+//!       [--json PATH] [--seed N] [id...]
 //! repro --list                list experiment ids
 //! repro replay JOURNAL        reconstruct a run's artifacts from its journal
 //! repro resume JOURNAL        complete a truncated journal, verified
@@ -24,11 +24,6 @@
 //! records back into the artifacts without re-simulating and byte-diffs
 //! them against the live ones; `repro resume` completes a torn journal and
 //! verifies every surviving record against the regenerated run.
-//!
-//! Live metrics: `--serve ADDR` (e.g. `127.0.0.1:9184`) starts a Prometheus
-//! text-exposition endpoint at `/metrics`; running experiments publish
-//! telemetry and fault counters to it at every collect tick, and the
-//! process stays alive after the suite so the final state stays scrapeable.
 
 use experiments::journal_runs;
 use experiments::{all_experiments, RunOpts};
@@ -39,12 +34,11 @@ struct Cli {
     opts: RunOpts,
     list: bool,
     json_path: PathBuf,
-    serve: Option<String>,
     ids: Vec<String>,
 }
 
 const USAGE: &str = "usage: repro [--quick] [--obs] [--trace-dir DIR] \
-     [--journal-dir DIR] [--serve ADDR] [--json PATH] [--seed N] [id...] \
+     [--journal-dir DIR] [--json PATH] [--seed N] [id...] \
      | repro replay JOURNAL | repro resume JOURNAL";
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -52,7 +46,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         opts: RunOpts::full(),
         list: false,
         json_path: PathBuf::from("BENCH_repro.json"),
-        serve: None,
         ids: Vec::new(),
     };
     let mut it = args.iter();
@@ -68,10 +61,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--journal-dir" => {
                 let dir = it.next().ok_or("--journal-dir requires a directory")?;
                 cli.opts.journal_dir = Some(PathBuf::from(dir));
-            }
-            "--serve" => {
-                let addr = it.next().ok_or("--serve requires an address:port")?;
-                cli.serve = Some(addr.clone());
             }
             "--json" => {
                 let p = it.next().ok_or("--json requires a path")?;
@@ -209,30 +198,12 @@ fn main() {
         return;
     }
 
-    let mut cli = match parse_args(&args) {
+    let cli = match parse_args(&args) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}; {USAGE}");
             std::process::exit(2);
         }
-    };
-
-    // Live Prometheus endpoint: bind before the suite so scrapers can watch
-    // the whole run; experiments publish at every collect tick.
-    let hub = match &cli.serve {
-        Some(addr) => {
-            let hub = std::sync::Arc::new(obs::prom::PromHub::new());
-            match obs::prom::serve(addr, hub.clone()) {
-                Ok(bound) => println!("serving Prometheus metrics at http://{bound}/metrics"),
-                Err(e) => {
-                    eprintln!("cannot serve on {addr}: {e}");
-                    std::process::exit(2);
-                }
-            }
-            cli.opts.prom = Some(hub.clone());
-            Some(hub)
-        }
-        None => None,
     };
 
     let experiments = all_experiments();
@@ -388,16 +359,41 @@ fn main() {
         Ok(()) => println!("machine-readable summary -> {}", cli.json_path.display()),
         Err(e) => eprintln!("could not write {}: {e}", cli.json_path.display()),
     }
+}
 
-    // Keep the metrics endpoint alive after the suite so the final counter
-    // state stays scrapeable (curl http://ADDR/metrics); Ctrl-C to exit.
-    if let Some(hub) = hub {
-        println!(
-            "suite done; still serving /metrics (generation {}). Ctrl-C to exit.",
-            hub.generation()
-        );
-        loop {
-            std::thread::park();
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected() {
+        for (args, want) in [
+            (&["--serve", "127.0.0.1:0"][..], "unknown flag --serve"),
+            (&["fig4", "--trace-dir"], "--trace-dir requires a directory"),
+            (
+                &["fig4", "--journal-dir"],
+                "--journal-dir requires a directory",
+            ),
+            (&["fig4", "--json"], "--json requires a path"),
+            (&["fig4", "--seed"], "--seed requires a u64"),
+            (&["--seed", "notanumber"], "bad seed notanumber"),
+        ] {
+            assert_eq!(parse(args).err().as_deref(), Some(want), "{args:?}");
         }
+    }
+
+    #[test]
+    fn flags_and_ids_parse_into_run_opts() {
+        let cli = parse(&["fig4", "--quick", "--seed", "42", "--journal-dir", "d"]).unwrap();
+        assert!(cli.opts.quick && !cli.opts.obs && !cli.list);
+        assert_eq!(cli.opts.seed, Some(42));
+        assert_eq!(cli.opts.journal_dir, Some(PathBuf::from("d")));
+        assert_eq!(cli.opts.trace_dir, None);
+        assert_eq!(cli.json_path, PathBuf::from("BENCH_repro.json"));
+        assert_eq!(cli.ids, ["fig4"]);
     }
 }

@@ -89,8 +89,8 @@ pub fn chaos_run(point: SweepPoint, seed: u64, quick: bool) -> ChaosOutcome {
     .0
 }
 
-/// [`chaos_run`] with a caller-supplied observability bundle (journal sink,
-/// Prometheus hub, …) on a topology `scale` that multiplies the paper's
+/// [`chaos_run`] with a caller-supplied observability bundle (telemetry,
+/// fault log, journal sink, …) on a topology `scale` that multiplies the paper's
 /// 8-node testbed and its workload mix proportionally — `scale` 8 is a
 /// 64-server cluster fed 8× the request rate and 8× the background-job
 /// cadence, so per-server load (and thus the scheduling regime) matches
@@ -309,12 +309,9 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
     );
     for (i, &point) in points.iter().enumerate() {
         // Build the observability bundle: telemetry + fault log always (as
-        // before), plus an event journal and/or a live Prometheus hub when
-        // asked. Neither perturbs the simulation.
+        // before), plus an event journal when asked. Neither perturbs the
+        // simulation.
         let mut bundle = obs::Obs::telemetry_only().with_fault_log();
-        if let Some(hub) = &opts.prom {
-            bundle = bundle.with_prom(hub.clone());
-        }
         let journal_path = opts
             .open_journal(
                 &format!("fault_sweep_p{i}.journal"),

@@ -77,10 +77,9 @@ pub fn run_condition(
 }
 
 /// [`run_condition`] with a caller-supplied observability bundle (journal
-/// sink, Prometheus hub, full recording, …) — the variant journal-enabled
-/// runs use. Also returns the raw [`platform::RunReport`] so the caller can
-/// export it for replay byte-diffing. The simulation is bit-identical for
-/// any bundle.
+/// sink, full recording, …) — the variant journal-enabled runs use. Also
+/// returns the raw [`platform::RunReport`] so the caller can export it for
+/// replay byte-diffing. The simulation is bit-identical for any bundle.
 #[allow(clippy::too_many_arguments)]
 pub fn run_condition_with_obs(
     book: &ProfileBook,
@@ -198,12 +197,9 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
             if record { Obs::recording() } else { Obs::off() },
         );
         // The interfered run is the panel's payload, so it is the journaled
-        // one: attach a journal sink and/or live Prometheus hub when asked.
+        // one: attach a journal sink when asked.
         let tag = if victim == 0 { "a" } else { "b" };
         let mut inter_bundle = if record { Obs::recording() } else { Obs::off() };
-        if let Some(hub) = &opts.prom {
-            inter_bundle = inter_bundle.with_prom(hub.clone());
-        }
         let journal_path = opts
             .open_journal(
                 &format!("fig4_{tag}_interfered.journal"),

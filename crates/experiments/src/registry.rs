@@ -26,9 +26,6 @@ pub struct RunOpts {
     /// Where journal-enabled experiments write their event journals
     /// (`repro --journal-dir DIR`); `None` disables journaling.
     pub journal_dir: Option<PathBuf>,
-    /// Live Prometheus hub (`repro --serve ADDR`): journal-enabled
-    /// experiments publish telemetry snapshots here at every collect tick.
-    pub prom: Option<std::sync::Arc<obs::prom::PromHub>>,
 }
 
 impl RunOpts {

@@ -289,8 +289,9 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        // rayon's global pool size may vary; determinism must hold because
-        // seeds are derived per tree, not per worker.
+        // Fitting twice from one seed must give the same forest: seeds are
+        // derived per tree, not per worker. Independence from the worker
+        // count itself is pinned by `tree::tests::identical_at_any_worker_count`.
         let train = make_data(200, 5);
         let a = RandomForest::fit(&train, ForestParams::default(), 11);
         let b = RandomForest::fit(&train, ForestParams::default(), 11);

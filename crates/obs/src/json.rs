@@ -169,9 +169,7 @@ pub fn write_num(x: f64, out: &mut String) {
 /// Canonical decimal rendering of a finite `f64`: integer values render with
 /// no fractional part (`4`, never `4.0`, and `-0.0` normalizes to `0`);
 /// everything else uses Rust's shortest round-trip formatting, which never
-/// emits an exponent. Shared by the JSON writer and the Prometheus exporter
-/// so the same sample is byte-identical in both, keeping golden diffs
-/// stable.
+/// emits an exponent, keeping golden diffs stable.
 pub(crate) fn write_finite_num(x: f64, out: &mut String) {
     debug_assert!(x.is_finite());
     if x.fract() == 0.0 && x.abs() < 9.0e15 {
@@ -183,16 +181,6 @@ pub(crate) fn write_finite_num(x: f64, out: &mut String) {
         // come out as plain digit strings with no trailing ".0".
         let _ = write!(out, "{x}");
     }
-}
-
-/// Canonical decimal rendering of a finite `f64` into a fresh string:
-/// integer values render with no fractional part (`4`, never `4.0`; `-0.0`
-/// renders as `0`), and everything else uses the shortest round-trip form,
-/// with no exponent.
-pub fn fmt_num(x: f64) -> String {
-    let mut out = String::new();
-    write_finite_num(x, &mut out);
-    out
 }
 
 fn write_str(s: &str, out: &mut String) {
@@ -386,27 +374,18 @@ mod tests {
     #[test]
     fn integers_render_without_fraction() {
         assert_eq!(Json::Num(1_000_000.0).render(), "1000000");
+        assert_eq!(Json::Num(4.0).render(), "4");
+        assert_eq!(Json::Num(-7.0).render(), "-7");
+        assert_eq!(Json::Num(-0.0).render(), "0", "negative zero normalizes");
         assert_eq!(Json::Num(2.5).render(), "2.5");
-    }
-
-    #[test]
-    fn fmt_num_never_emits_trailing_point_zero() {
-        assert_eq!(fmt_num(4.0), "4");
-        assert_eq!(fmt_num(-7.0), "-7");
-        assert_eq!(fmt_num(-0.0), "0", "negative zero normalizes");
-        assert_eq!(fmt_num(2.5), "2.5");
         assert_eq!(
-            fmt_num(1.0e16),
+            Json::Num(1.0e16).render(),
             "10000000000000000",
             "beyond the i64 fast path"
         );
         // Large magnitudes stay plain digit strings (no exponent, no '.').
-        let big = fmt_num(1e300);
+        let big = Json::Num(1e300).render();
         assert!(!big.contains('e') && !big.contains('E') && !big.contains('.'));
-        // fmt_num and the JSON writer agree byte-for-byte on finite samples.
-        for x in [0.0, 1.0, -3.0, 0.125, 1234.5, 9.0e15, 1.0e16] {
-            assert_eq!(Json::Num(x).render(), fmt_num(x), "x={x}");
-        }
     }
 
     #[test]

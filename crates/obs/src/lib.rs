@@ -1,6 +1,6 @@
 //! Observability for the simulated serverless platform.
 //!
-//! [`Obs`] is the bundle of sinks a simulation carries. Its five fields are
+//! [`Obs`] is the bundle of sinks a simulation carries. Its four fields are
 //! all **nullable**: every producer site in the platform first checks
 //! whether its sink is present, so a run with observability off pays one
 //! branch per site and allocates nothing.
@@ -17,7 +17,6 @@
 //!   degradation action, in event order.
 //! * `journal` ([`journal`]) — the append-only binary event WAL that
 //!   replays into the run's artifacts.
-//! * `prom` ([`prom`]) — the live Prometheus text-exposition target.
 //!
 //! Two facilities live outside the bundle, on the scheduler side:
 //!
@@ -38,7 +37,6 @@ pub mod faultlog;
 pub mod journal;
 pub mod json;
 pub mod profile;
-pub mod prom;
 pub mod telemetry;
 pub mod trace;
 
@@ -46,7 +44,6 @@ pub use audit::{AuditLog, CandidateEval, DecisionRecord};
 pub use faultlog::{FaultLog, FaultRecord};
 pub use journal::{JournalEvent, JournalSink, JournalStats};
 pub use profile::WallProfiler;
-pub use prom::PromHub;
 pub use telemetry::Telemetry;
 pub use trace::{MemorySink, SpanRecord, Track};
 
@@ -61,8 +58,6 @@ pub struct Obs {
     pub faults: Option<FaultLog>,
     /// Run journal (append-only event WAL); `None` when journaling is off.
     pub journal: Option<Box<dyn JournalSink>>,
-    /// Live Prometheus snapshot target; `None` when not exporting.
-    pub prom: Option<std::sync::Arc<PromHub>>,
 }
 
 impl Obs {
@@ -73,7 +68,6 @@ impl Obs {
             telemetry: None,
             faults: None,
             journal: None,
-            prom: None,
         }
     }
 
@@ -108,13 +102,6 @@ impl Obs {
         self
     }
 
-    /// Builder: publish live Prometheus snapshots into `hub` at every
-    /// collect tick (requires telemetry to be on to carry any metrics).
-    pub fn with_prom(mut self, hub: std::sync::Arc<PromHub>) -> Self {
-        self.prom = Some(hub);
-        self
-    }
-
     /// Whether spans are being recorded.
     pub fn tracing(&self) -> bool {
         self.trace.is_some()
@@ -139,7 +126,6 @@ impl std::fmt::Debug for Obs {
             .field("telemetry", &self.telemetry.is_some())
             .field("faults", &self.faults.is_some())
             .field("journal", &self.journal.is_some())
-            .field("prom", &self.prom.is_some())
             .finish()
     }
 }
@@ -156,19 +142,15 @@ mod tests {
         assert!(obs.memory_sink().is_none());
         assert!(obs.faults.is_none());
         assert!(obs.journal.is_none());
-        assert!(obs.prom.is_none());
     }
 
     #[test]
-    fn with_journal_and_prom_attach() {
+    fn with_journal_attaches() {
         let journal = journal::MemoryJournal::in_memory(&json::Json::obj(), None);
-        let obs = Obs::telemetry_only()
-            .with_journal(Box::new(journal))
-            .with_prom(std::sync::Arc::new(PromHub::new()));
+        let obs = Obs::telemetry_only().with_journal(Box::new(journal));
         assert!(obs.journal.is_some());
-        assert!(obs.prom.is_some());
         let dbg = format!("{obs:?}");
-        assert!(dbg.contains("journal: true") && dbg.contains("prom: true"));
+        assert!(dbg.contains("journal: true"));
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl LogHistogram {
         self.stats.count()
     }
 
-    /// Running moments (exact, not bucketed).
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
-
     /// Approximate quantile (`q` in [0, 1]) from the bucket midpoints.
     pub fn quantile(&self, q: f64) -> f64 {
         let total: u64 = self.counts.iter().map(|&(_, c)| c).sum();
@@ -180,11 +175,6 @@ impl Telemetry {
     /// Metric names in sorted order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.metrics.keys().map(String::as_str)
-    }
-
-    /// All metrics with their state, in name order (Prometheus exporter).
-    pub(crate) fn metrics(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Fold another registry into this one (counters add, gauges keep the

@@ -1258,12 +1258,6 @@ impl Simulation {
             }
         }
 
-        // Refresh the live Prometheus exposition, if a hub is attached.
-        // Read-only over telemetry/fault-log state: zero determinism impact.
-        if let (Some(hub), Some(t)) = (self.obs.prom.as_ref(), self.obs.telemetry.as_ref()) {
-            hub.publish(t, self.obs.faults.as_ref());
-        }
-
         self.next_collect = now.plus(self.config.collect_interval);
         if self.next_collect <= end {
             self.queue.schedule(self.next_collect, Ev::Collect);

@@ -18,8 +18,8 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// Derive the `index`-th independent child seed from a parent seed.
 ///
-/// Used to hand each parallel task (a rayon job, a forest tree, a simulated
-/// server) its own generator without any cross-task coupling.
+/// Used to hand each parallel task (a `simcore::par` job, a forest tree, a
+/// simulated server) its own generator without any cross-task coupling.
 #[inline]
 pub fn seed_stream(parent: u64, index: u64) -> u64 {
     // Mix the index in with a distinct odd constant before running SplitMix
