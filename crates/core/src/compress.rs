@@ -5,7 +5,9 @@
 //! up well". The paper proposes dimensionality reduction (PCA) as future
 //! work; [`CompressedPredictor`] implements it: the PCA basis is fitted on
 //! the bootstrap corpus' feature matrix and frozen, the learner then trains
-//! and predicts in the `k`-dimensional projected space.
+//! and predicts in the projected space. The basis holds at most as many
+//! components as the corpus has samples, so the learner is sized from the
+//! fitted basis, not from the requested `k`.
 
 use crate::coding::CodingConfig;
 use crate::features::{feature_dim, featurize};
@@ -17,21 +19,21 @@ use mlcore::{Dataset, IncrementalModel, IncrementalParams, Pca};
 pub struct CompressedPredictor {
     config: GsightConfig,
     k: usize,
-    pca: Option<Pca>,
-    model: IncrementalModel,
+    /// The frozen basis and the learner sized to it (`None` before
+    /// bootstrap).
+    fitted: Option<(Pca, IncrementalModel)>,
 }
 
 impl CompressedPredictor {
-    /// New predictor projecting to `k` components. The basis is fitted at
-    /// [`CompressedPredictor::bootstrap`] time and frozen thereafter.
+    /// New predictor projecting to up to `k` components. The basis is
+    /// fitted at [`CompressedPredictor::bootstrap`] time and frozen
+    /// thereafter.
     pub fn new(config: GsightConfig, k: usize) -> Self {
         assert!(k > 0, "need at least one component");
-        let params = IncrementalParams::new(config.kind, k, config.seed);
         Self {
-            model: IncrementalModel::new(params),
-            pca: None,
-            k,
             config,
+            k,
+            fitted: None,
         }
     }
 
@@ -45,14 +47,18 @@ impl CompressedPredictor {
         feature_dim(&self.config.coding)
     }
 
-    /// Compressed dimension.
+    /// Compressed dimension: the fitted component count after bootstrap
+    /// (`k` clamped to the bootstrap sample count), the requested `k`
+    /// before it.
     pub fn compressed_dim(&self) -> usize {
-        self.k
+        self.fitted.as_ref().map_or(self.k, |(pca, _)| pca.k())
     }
 
     /// Variance captured per retained component (`None` before bootstrap).
     pub fn explained_variance(&self) -> Option<&[f64]> {
-        self.pca.as_ref().map(|p| p.explained_variance())
+        self.fitted
+            .as_ref()
+            .map(|(pca, _)| pca.explained_variance())
     }
 
     fn raw_features(&self, samples: &[(Scenario, f64)]) -> Dataset {
@@ -63,30 +69,31 @@ impl CompressedPredictor {
         d
     }
 
-    /// Fit the PCA basis on the bootstrap corpus, then the learner on the
-    /// projected features.
+    /// Fit the PCA basis on the bootstrap corpus, then a learner of the
+    /// basis' dimension on the projected features.
     pub fn bootstrap(&mut self, samples: &[(Scenario, f64)]) {
         let raw = self.raw_features(samples);
         let pca = Pca::fit(&raw, self.k, self.config.seed ^ 0x9CA);
-        let projected = pca.transform_dataset(&raw);
-        self.pca = Some(pca);
-        self.model.bootstrap(&projected);
+        let params = IncrementalParams::new(self.config.kind, pca.k(), self.config.seed);
+        let mut model = IncrementalModel::new(params);
+        model.bootstrap(&pca.transform_dataset(&raw));
+        self.fitted = Some((pca, model));
     }
 
     /// Incrementally absorb new observations (requires a prior bootstrap —
     /// the frozen basis must exist).
     pub fn update(&mut self, samples: &[(Scenario, f64)]) {
-        let pca = self.pca.as_ref().expect("bootstrap before update");
-        let projected = pca.transform_dataset(&self.raw_features(samples));
-        self.model.update(&projected);
+        let raw = self.raw_features(samples);
+        let (pca, model) = self.fitted.as_mut().expect("bootstrap before update");
+        model.update(&pca.transform_dataset(&raw));
     }
 
     /// Predict the target QoS (NaN before bootstrap).
     pub fn predict(&self, scenario: &Scenario) -> f64 {
-        match &self.pca {
-            Some(pca) => {
+        match &self.fitted {
+            Some((pca, model)) => {
                 let raw = featurize(scenario, &self.config.coding);
-                self.model.predict(&pca.transform(&raw))
+                model.predict(&pca.transform(&raw))
             }
             None => f64::NAN,
         }
@@ -94,7 +101,9 @@ impl CompressedPredictor {
 
     /// Samples absorbed so far.
     pub fn samples_seen(&self) -> usize {
-        self.model.samples_seen()
+        self.fitted
+            .as_ref()
+            .map_or(0, |(_, model)| model.samples_seen())
     }
 }
 
@@ -204,6 +213,20 @@ mod tests {
         p.bootstrap(&train);
         p.update(&more);
         assert_eq!(p.samples_seen(), 500);
+    }
+
+    #[test]
+    fn bootstrap_with_fewer_samples_than_components() {
+        // PCA keeps at most one component per sample; the learner must be
+        // sized from the fitted basis, not from the requested 64.
+        let mut rng = SimRng::new(5);
+        let train: Vec<_> = (0..20).map(|_| sample(&mut rng)).collect();
+        let mut p = CompressedPredictor::new(config(), 64);
+        p.bootstrap(&train);
+        assert!(p.compressed_dim() <= 20, "dim {}", p.compressed_dim());
+        for (s, _) in &train {
+            assert!(p.predict(s).is_finite());
+        }
     }
 
     #[test]

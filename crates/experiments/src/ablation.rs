@@ -239,7 +239,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         let us = start.elapsed().as_micros() as f64 / test.len().max(1) as f64;
         let actuals: Vec<f64> = test.iter().map(|(_, y)| *y).collect();
         t.row(vec![
-            format!("{k}"),
+            format!("{}", p.compressed_dim()),
             fnum(mape(&preds, &actuals) * 100.0, 2) + "%",
             fnum(us, 1),
         ]);

@@ -2,24 +2,26 @@
 //!
 //! Bagging (bootstrap per tree) plus per-split feature subsampling,
 //! prediction by averaging. Training parallelises across trees with
-//! [`simcore::par`]; each tree derives its own RNG stream from the forest
-//! seed, so the fitted model is identical regardless of thread count (the
-//! determinism rule the workspace follows everywhere).
+//! [`simcore::par`] — the only level of training parallelism: each tree is
+//! built on one thread. Each tree derives its own RNG stream from the
+//! forest seed, so the fitted model is identical regardless of thread
+//! count (the determinism rule the workspace follows everywhere).
 
 use crate::dataset::{ColumnStore, Dataset};
 use crate::flat::FlatForest;
 use crate::reference;
 use crate::tree::{RegressionTree, TreeParams};
-use simcore::par::{available_workers, par_map, par_map_range};
+use simcore::par::{par_map, par_map_range};
 use simcore::rng::seed_stream;
 use simcore::SimRng;
 
 /// Which split-search implementation trains the trees.
 ///
-/// Both produce bit-identical forests (pinned by `tests/train_kernel.rs`);
-/// the reference exists as the oracle for that equivalence and as the
-/// baseline of the fig. 14 `train_throughput` comparison. The backend is
-/// recorded on the fitted forest so incremental refreshes keep using it.
+/// Both produce bit-identical forests (pinned by `tests/train_kernel.rs`).
+/// This is the oracle's entry point: only [`RandomForest::fit_with`] takes
+/// it, for that equivalence and for the baseline of the fig. 14
+/// `train_throughput` comparison. The backend is recorded on the fitted
+/// forest so [`RandomForest::refresh_stalest`] keeps using it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrainBackend {
     /// Presorted column-major kernel ([`crate::tree`]) — the default.
@@ -67,14 +69,6 @@ pub struct RandomForest {
     backend: TrainBackend,
 }
 
-/// Worker threads left for within-tree feature parallelism once `jobs`
-/// tree-level jobs are running: the kernel's inner parallelism only fans
-/// out when tree-level parallelism leaves cores idle (few trees, many
-/// cores), so the two levels compose instead of oversubscribing.
-fn inner_workers(jobs: usize) -> usize {
-    (available_workers() / jobs.clamp(1, available_workers())).max(1)
-}
-
 impl RandomForest {
     /// Fit a forest on a dataset with the default (kernel) trainer.
     pub fn fit(data: &Dataset, params: ForestParams, seed: u64) -> Self {
@@ -97,14 +91,11 @@ impl RandomForest {
             TrainBackend::Kernel => Some(data.column_store()),
             TrainBackend::Reference => None,
         };
-        let inner = inner_workers(params.n_trees);
         let trees: Vec<RegressionTree> = par_map_range(params.n_trees, |i| {
             let mut rng = SimRng::new(seed_stream(seed, i as u64));
             let rows = data.bootstrap(n_sample, &mut rng);
             match &store {
-                Some(store) => {
-                    RegressionTree::fit_rows_with(store, &rows, params.tree, &mut rng, inner)
-                }
+                Some(store) => RegressionTree::fit_rows_with(store, &rows, params.tree, &mut rng),
                 None => reference::fit_rows(data, &rows, params.tree, &mut rng),
             }
         });
@@ -119,11 +110,6 @@ impl RandomForest {
             dim: data.dim(),
             backend,
         }
-    }
-
-    /// The split-search backend this forest trains (and refreshes) with.
-    pub fn backend(&self) -> TrainBackend {
-        self.backend
     }
 
     /// The fitted trees, in training order.
@@ -178,7 +164,6 @@ impl RandomForest {
             TrainBackend::Kernel => Some(data.column_store()),
             TrainBackend::Reference => None,
         };
-        let inner = inner_workers(victims.len());
         let rebuilt: Vec<(usize, RegressionTree)> = par_map(victims, |i| {
             let mut rng = SimRng::new(seed_stream(
                 self.seed ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -187,7 +172,7 @@ impl RandomForest {
             let rows = data.bootstrap(n_sample, &mut rng);
             let tree = match &store {
                 Some(store) => {
-                    RegressionTree::fit_rows_with(store, &rows, self.params.tree, &mut rng, inner)
+                    RegressionTree::fit_rows_with(store, &rows, self.params.tree, &mut rng)
                 }
                 None => reference::fit_rows(data, &rows, self.params.tree, &mut rng),
             };
@@ -288,17 +273,43 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_thread_counts() {
-        // Fitting twice from one seed must give the same forest: seeds are
-        // derived per tree, not per worker. Independence from the worker
-        // count itself is pinned by `tree::tests::identical_at_any_worker_count`.
+    fn fit_and_refresh_match_sequential_per_tree_fits() {
+        // Tree `i` depends only on its own seed stream, never on which
+        // worker built it or when: the parallel fit and refresh must equal
+        // the same trees built one after another in a plain loop.
         let train = make_data(200, 5);
-        let a = RandomForest::fit(&train, ForestParams::default(), 11);
-        let b = RandomForest::fit(&train, ForestParams::default(), 11);
-        for i in 0..20 {
-            let x = [i as f64 / 2.0, 3.0, 0.5];
-            assert_eq!(a.predict(&x), b.predict(&x));
-        }
+        let params = ForestParams {
+            n_trees: 12,
+            ..Default::default()
+        };
+        let seed = 11;
+        let sequential = |data: &Dataset, stream_seed: u64, ids: &[usize]| {
+            let store = data.column_store();
+            ids.iter()
+                .map(|&i| {
+                    let mut rng = SimRng::new(seed_stream(stream_seed, i as u64));
+                    let rows = data.bootstrap(data.len(), &mut rng);
+                    RegressionTree::fit_rows_with(&store, &rows, params.tree, &mut rng)
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut forest = RandomForest::fit(&train, params, seed);
+        let all: Vec<usize> = (0..params.n_trees).collect();
+        assert_eq!(forest.trees(), &sequential(&train, seed, &all)[..]);
+
+        // One refresh replaces the `k` stalest trees; all are generation 0,
+        // so the stable age sort picks the first `k` slots.
+        let (k, generation) = (5, 1u64);
+        let newer = make_data(150, 6);
+        let mut expect = forest.trees().to_vec();
+        let refreshed = sequential(
+            &newer,
+            seed ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            &all[..k],
+        );
+        expect[..k].clone_from_slice(&refreshed);
+        forest.refresh_stalest(&newer, k, generation);
+        assert_eq!(forest.trees(), &expect[..]);
     }
 
     #[test]

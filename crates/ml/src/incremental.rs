@@ -9,12 +9,15 @@
 //! * **IRFR** — bounded sample buffer + stalest-tree replacement: each
 //!   update appends the batch and rebuilds `refresh_trees` trees on fresh
 //!   bootstraps of the buffer, giving bounded update cost (paper §6.4
-//!   measures ≈ 25 ms per update).
+//!   measures ≈ 25 ms per update). IRFR always trains with the presorted
+//!   kernel ([`crate::tree`]), the trees in parallel and each on one
+//!   thread; the reference trainer is reached only through
+//!   [`RandomForest::fit_with`].
 //! * **IKNN** — sample insertion (k-NN is inherently incremental).
 //! * **ILR / ISVR / IMLP** — SGD `partial_fit` over each new batch.
 
 use crate::dataset::Dataset;
-use crate::forest::{ForestParams, RandomForest, TrainBackend};
+use crate::forest::{ForestParams, RandomForest};
 use crate::knn::KnnRegressor;
 use crate::linear::{RidgeSgd, SgdParams};
 use crate::mlp::{MlpParams, MlpRegressor};
@@ -70,9 +73,6 @@ pub struct IncrementalParams {
     pub refresh_trees: usize,
     /// IRFR: forest hyperparameters.
     pub forest: ForestParams,
-    /// IRFR: split-search backend (kernel by default; the reference is the
-    /// bit-identical oracle used by the equivalence tests and benchmarks).
-    pub backend: TrainBackend,
     /// IKNN: neighbourhood size.
     pub knn_k: usize,
     /// ILR/ISVR: SGD hyperparameters.
@@ -94,7 +94,6 @@ impl IncrementalParams {
             buffer_cap: 20_000,
             refresh_trees: 8,
             forest: ForestParams::default(),
-            backend: TrainBackend::default(),
             knn_k: 5,
             sgd: SgdParams::default(),
             mlp: MlpParams::default(),
@@ -184,11 +183,10 @@ impl IncrementalModel {
         self.seen += data.len();
         match &mut self.inner {
             Inner::Irfr(slot) => {
-                *slot = Some(RandomForest::fit_with(
+                *slot = Some(RandomForest::fit(
                     &self.buffer.data,
                     self.params.forest,
                     self.params.seed,
-                    self.params.backend,
                 ));
             }
             Inner::Iknn(knn) => knn.fit(&self.buffer.data),
@@ -217,11 +215,10 @@ impl IncrementalModel {
                     );
                 }
                 None => {
-                    *slot = Some(RandomForest::fit_with(
+                    *slot = Some(RandomForest::fit(
                         &self.buffer.data,
                         self.params.forest,
                         self.params.seed,
-                        self.params.backend,
                     ));
                 }
             },

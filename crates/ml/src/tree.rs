@@ -43,9 +43,9 @@
 //! * **Constant-column skip** — globally constant features (the sparse
 //!   zero padding that dominates the overlap codings) are never presorted
 //!   or scanned; they cannot produce a split in either implementation.
-//! * **Feature-parallel scans** — large nodes evaluate candidate features
-//!   concurrently via [`simcore::par::par_map_workers`], reduced in
-//!   examination order, so the result is identical at any worker count.
+//!
+//! A tree is built on one thread; the forest trains its independent trees
+//! in parallel (see [`crate::forest`]).
 //!
 //! # Determinism
 //!
@@ -57,10 +57,9 @@
 //! the winning split by strictly-greater gain in feature-examination order
 //! (first feature examined wins ties, earliest boundary wins within a
 //! feature). The property tests in `tests/train_kernel.rs` pin this
-//! equivalence across seeds, hyperparameters and worker counts.
+//! equivalence across seeds and hyperparameters.
 
 use crate::dataset::{ColumnStore, Dataset};
-use simcore::par::{available_workers, par_map_workers};
 use simcore::SimRng;
 
 /// Tree hyperparameters.
@@ -246,11 +245,6 @@ struct FeatureColumn {
     sorted: Vec<u32>,
 }
 
-/// Minimum `node size × candidate features` product before a node's split
-/// scan (and its partition maintenance) fans out across workers. Below
-/// this, thread spawn/join overhead outweighs the scan itself.
-const PAR_NODE_WORK: usize = 1 << 15;
-
 /// Node size below which the kernel stops maintaining presorted arenas and
 /// instead sorts the node's members on demand, per examined feature, by the
 /// same `(value, position)` key — producing the identical scan order.
@@ -312,7 +306,6 @@ fn radix_sort_positions(vals: &[f64], sorted: &mut Vec<u32>) {
 struct KernelBuilder {
     params: TreeParams,
     mtry: usize,
-    workers: usize,
     nodes: Vec<Node>,
     importances: Vec<f64>,
     /// Target per bootstrap position (`y[p] = target(rows[p])`).
@@ -334,7 +327,7 @@ struct KernelBuilder {
 }
 
 impl KernelBuilder {
-    fn new(store: &ColumnStore, rows: &[usize], params: TreeParams, workers: usize) -> Self {
+    fn new(store: &ColumnStore, rows: &[usize], params: TreeParams) -> Self {
         let n = rows.len();
         assert!(
             n <= u32::MAX as usize,
@@ -346,23 +339,20 @@ impl KernelBuilder {
         let active_features: Vec<usize> = (0..dim).filter(|&f| !store.is_constant(f)).collect();
         // Presort once per tree: O(d_active · n log n) contiguous-key sorts
         // instead of one strided sort per feature per node.
-        let presort = |f: usize| -> FeatureColumn {
-            let col = store.column(f);
-            let vals: Vec<f64> = rows.iter().map(|&r| col[r]).collect();
-            let mut sorted: Vec<u32> = (0..n as u32).collect();
-            radix_sort_positions(&vals, &mut sorted);
-            FeatureColumn {
-                feature: f,
-                vals,
-                sorted,
-            }
-        };
-        let feats: Vec<FeatureColumn> = if workers > 1 && active_features.len() * n >= PAR_NODE_WORK
-        {
-            par_map_workers(active_features, workers, presort)
-        } else {
-            active_features.into_iter().map(presort).collect()
-        };
+        let feats: Vec<FeatureColumn> = active_features
+            .into_iter()
+            .map(|f| {
+                let col = store.column(f);
+                let vals: Vec<f64> = rows.iter().map(|&r| col[r]).collect();
+                let mut sorted: Vec<u32> = (0..n as u32).collect();
+                radix_sort_positions(&vals, &mut sorted);
+                FeatureColumn {
+                    feature: f,
+                    vals,
+                    sorted,
+                }
+            })
+            .collect();
         let mut active = vec![u32::MAX; dim];
         for (i, fc) in feats.iter().enumerate() {
             active[fc.feature] = i as u32;
@@ -370,7 +360,6 @@ impl KernelBuilder {
         Self {
             params,
             mtry: effective_mtry(params, dim),
-            workers,
             nodes: Vec::new(),
             importances: vec![0.0; dim],
             y,
@@ -438,10 +427,8 @@ impl KernelBuilder {
     /// Examines the first `mtry` shuffled features, then (matching
     /// scikit-learn's semantics, and the reference exactly) keeps examining
     /// one feature at a time until at least one valid split has been found.
-    /// The first phase evaluates features independently — in parallel for
-    /// large nodes — and reduces local bests in examination order, which is
-    /// equivalent to the reference's running-best loop: the winner is the
-    /// first candidate, in feature-examination order then boundary order,
+    /// Like the reference's running-best loop, the winner is the first
+    /// candidate, in feature-examination order then boundary order,
     /// attaining the maximal gain.
     fn best_split(
         &mut self,
@@ -456,23 +443,13 @@ impl KernelBuilder {
         let mut stream = CandidateStream::new(&mut order, rng_local);
 
         let scan = |feature: usize| this.scan_feature(feature, lo, hi, parent);
-        let mut head: Vec<usize> = Vec::with_capacity(this.mtry);
-        while head.len() < this.mtry {
-            match stream.next() {
-                Some(f) => head.push(f),
-                None => break,
-            }
-        }
         let mut best: Option<(usize, f64, f64)> = None;
-        let locals: Vec<Option<(usize, f64, f64)>> =
-            if this.workers > 1 && (hi - lo) * head.len() >= PAR_NODE_WORK {
-                par_map_workers(head, this.workers, scan)
-            } else {
-                head.into_iter().map(scan).collect()
-            };
-        for cand in locals.into_iter().flatten() {
-            if cand.2 > best.map(|(_, _, g)| g).unwrap_or(1e-12) {
-                best = Some(cand);
+        for _ in 0..this.mtry {
+            let Some(f) = stream.next() else { break };
+            if let Some(cand) = scan(f) {
+                if cand.2 > best.map(|(_, _, g)| g).unwrap_or(1e-12) {
+                    best = Some(cand);
+                }
             }
         }
         // Extension phase: the reference stops at the first feature (beyond
@@ -610,28 +587,14 @@ impl KernelBuilder {
         let keep_left = !left_leaf && nl >= SMALL_NODE;
         let keep_right = !right_leaf && hi - lo - nl >= SMALL_NODE;
         if keep_left || keep_right {
-            if self.workers > 1 && (hi - lo) * self.feats.len() >= PAR_NODE_WORK {
-                let refs: Vec<&mut FeatureColumn> = self.feats.iter_mut().collect();
-                par_map_workers(refs, self.workers, |fc| {
-                    let mut local = Vec::new();
-                    stable_partition_sides(
-                        &mut fc.sorted[lo..hi],
-                        &mut local,
-                        |&p| side[p as usize],
-                        keep_left,
-                        keep_right,
-                    );
-                });
-            } else {
-                for fc in &mut self.feats {
-                    stable_partition_sides(
-                        &mut fc.sorted[lo..hi],
-                        &mut scratch,
-                        |&p| side[p as usize],
-                        keep_left,
-                        keep_right,
-                    );
-                }
+            for fc in &mut self.feats {
+                stable_partition_sides(
+                    &mut fc.sorted[lo..hi],
+                    &mut scratch,
+                    |&p| side[p as usize],
+                    keep_left,
+                    keep_right,
+                );
             }
         }
         self.scratch = scratch;
@@ -715,23 +678,18 @@ impl RegressionTree {
     /// transpose across trees via [`fit_rows_with`](Self::fit_rows_with).
     pub fn fit_rows(data: &Dataset, rows: &[usize], params: TreeParams, rng: &mut SimRng) -> Self {
         let store = data.column_store();
-        Self::fit_rows_with(&store, rows, params, rng, available_workers())
+        Self::fit_rows_with(&store, rows, params, rng)
     }
 
-    /// Fit a tree against a prebuilt column store with an explicit worker
-    /// count for within-node feature parallelism.
-    ///
-    /// The fitted tree is identical at any `workers` value — parallel scans
-    /// reduce in feature-examination order.
+    /// Fit a tree against a prebuilt column store, on the calling thread.
     pub fn fit_rows_with(
         store: &ColumnStore,
         rows: &[usize],
         params: TreeParams,
         rng: &mut SimRng,
-        workers: usize,
     ) -> Self {
         assert!(!rows.is_empty(), "cannot fit a tree on zero rows");
-        let mut builder = KernelBuilder::new(store, rows, params, workers.max(1));
+        let mut builder = KernelBuilder::new(store, rows, params);
         let root_moments = builder.moments(0, rows.len());
         builder.build(0, rows.len(), 0, rng, root_moments);
         RegressionTree {
@@ -904,21 +862,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(fit(7), fit(7));
-    }
-
-    #[test]
-    fn identical_at_any_worker_count() {
-        let d = step_data();
-        let store = d.column_store();
-        let rows: Vec<usize> = (0..d.len()).collect();
-        let fit = |workers| {
-            let mut rng = SimRng::new(9);
-            RegressionTree::fit_rows_with(&store, &rows, TreeParams::default(), &mut rng, workers)
-        };
-        let one = fit(1);
-        for workers in [2, 8, 64] {
-            assert_eq!(fit(workers), one, "workers = {workers}");
-        }
     }
 
     #[test]

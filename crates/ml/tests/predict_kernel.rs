@@ -62,7 +62,7 @@ fn assert_forest_paths_agree(f: &RandomForest, probes: &[Vec<f64>], ctx: &str) {
 }
 
 #[test]
-fn flat_kernel_bit_identical_across_seeds_and_workers() {
+fn flat_kernel_bit_identical_across_seeds() {
     for &seed in &SEEDS {
         let data = corpus(120, 24, seed);
         let params = ForestParams {
@@ -151,7 +151,7 @@ fn degenerate_values_route_bit_identically() {
 /// (debug codegen distorts the paths differently) with a 25% tolerance to
 /// absorb scheduler noise while still catching a real regression.
 #[test]
-fn adaptive_dispatch_batch_never_materially_slower() {
+fn batch_never_materially_slower_than_sequential() {
     let small = RandomForest::fit(
         &corpus(60, 16, 0xAB),
         ForestParams {

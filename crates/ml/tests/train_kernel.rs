@@ -3,8 +3,9 @@
 //! The presorted column-major training kernel (`mlcore::tree`) must produce
 //! *bit-identical* trees, predictions and importances to the exhaustive
 //! reference search (`mlcore::reference`) — for any seed, any
-//! hyperparameters, any worker count, and at every point of the incremental
-//! (IRFR) lifecycle. These tests sweep 20 seeds over those axes.
+//! hyperparameters, and at every point of the incremental (IRFR)
+//! lifecycle. These tests sweep 20 seeds over those axes. The reference is
+//! reached through `TrainBackend`, the argument of `RandomForest::fit_with`.
 
 use mlcore::{
     reference, ColumnStore, Dataset, ForestParams, IncrementalModel, IncrementalParams, ModelKind,
@@ -15,8 +16,6 @@ use simcore::SimRng;
 const SEEDS: [u64; 20] = [
     1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765, 10946,
 ];
-
-const WORKER_COUNTS: [usize; 4] = [1, 2, 8, 64];
 
 /// A synthetic corpus in the shape the paper's predictor sees: a few
 /// informative columns, heavy constant zero padding (sparse overlap
@@ -64,7 +63,7 @@ fn configs() -> Vec<TreeParams> {
 }
 
 #[test]
-fn tree_bit_identical_across_seeds_configs_and_workers() {
+fn tree_bit_identical_across_seeds_and_configs() {
     let data = corpus(200, 24, 0xA5);
     let store = data.column_store();
     for &seed in &SEEDS {
@@ -77,20 +76,14 @@ fn tree_bit_identical_across_seeds_configs_and_workers() {
             // (they make identical split/shuffle draws), or forest-level
             // composition would diverge on the *next* tree.
             let ref_next = rng_ref.next_u64();
-            for &workers in &WORKER_COUNTS {
-                let mut rng_ker = SimRng::new(seed ^ 0xDEAD);
-                let kernel =
-                    RegressionTree::fit_rows_with(&store, &rows, params, &mut rng_ker, workers);
-                assert_eq!(
-                    reference, kernel,
-                    "seed {seed}, params {params:?}, workers {workers}"
-                );
-                assert_eq!(
-                    rng_ker.next_u64(),
-                    ref_next,
-                    "RNG streams diverged: seed {seed}, params {params:?}"
-                );
-            }
+            let mut rng_ker = SimRng::new(seed ^ 0xDEAD);
+            let kernel = RegressionTree::fit_rows_with(&store, &rows, params, &mut rng_ker);
+            assert_eq!(reference, kernel, "seed {seed}, params {params:?}");
+            assert_eq!(
+                rng_ker.next_u64(),
+                ref_next,
+                "RNG streams diverged: seed {seed}, params {params:?}"
+            );
         }
     }
 }
@@ -111,7 +104,7 @@ fn tree_importances_and_predictions_bitwise_equal() {
         let mut rng_ker = SimRng::new(seed);
         let reference = reference::fit_rows(&data, &rows, TreeParams::default(), &mut rng_ref);
         let kernel =
-            RegressionTree::fit_rows_with(&store, &rows, TreeParams::default(), &mut rng_ker, 2);
+            RegressionTree::fit_rows_with(&store, &rows, TreeParams::default(), &mut rng_ker);
         assert_eq!(reference.importances(), kernel.importances(), "seed {seed}");
         for x in &probes {
             let (a, b) = (reference.predict(x), kernel.predict(x));
@@ -143,19 +136,20 @@ fn forest_backends_bit_identical() {
 
 #[test]
 fn incremental_lifecycle_bit_identical() {
-    // Bootstrap + repeated updates (driving `refresh_stalest`) must agree
-    // between backends at every step of the IRFR lifecycle.
+    // Bootstrap + repeated updates (driving `refresh_stalest`) of the IRFR
+    // model, which always trains with the kernel, must agree at every step
+    // with a reference-trained forest driven through the same lifecycle on
+    // a mirrored sample buffer (never full here, so nothing is evicted).
     for &seed in &SEEDS[..6] {
-        let mut params_k = IncrementalParams::new(ModelKind::Irfr, 24, seed);
-        params_k.forest.n_trees = 10;
-        params_k.refresh_trees = 4;
-        let mut params_r = params_k.clone();
-        params_k.backend = TrainBackend::Kernel;
-        params_r.backend = TrainBackend::Reference;
-        let mut kernel = IncrementalModel::new(params_k);
-        let mut reference = IncrementalModel::new(params_r);
-        kernel.bootstrap(&corpus(120, 24, seed));
-        reference.bootstrap(&corpus(120, 24, seed));
+        let mut params = IncrementalParams::new(ModelKind::Irfr, 24, seed);
+        params.forest.n_trees = 10;
+        params.refresh_trees = 4;
+        let (forest_params, refresh_trees) = (params.forest, params.refresh_trees);
+        let mut kernel = IncrementalModel::new(params);
+        let mut buffer = corpus(120, 24, seed);
+        kernel.bootstrap(&buffer);
+        let mut reference =
+            RandomForest::fit_with(&buffer, forest_params, seed, TrainBackend::Reference);
         let probes: Vec<Vec<f64>> = {
             let p = corpus(16, 24, seed ^ 0xF0);
             (0..p.len()).map(|i| p.row(i).to_vec()).collect()
@@ -163,10 +157,11 @@ fn incremental_lifecycle_bit_identical() {
         for step in 0..3u64 {
             let batch = corpus(60, 24, seed.wrapping_add(1000 + step));
             kernel.update(&batch);
-            reference.update(&batch);
+            buffer.extend(&batch);
+            reference.refresh_stalest(&buffer, refresh_trees, step + 1);
             assert_eq!(
                 kernel.forest().unwrap().trees(),
-                reference.forest().unwrap().trees(),
+                reference.trees(),
                 "seed {seed}, step {step}"
             );
             let a = kernel.predict_batch(&probes);
@@ -190,15 +185,9 @@ fn tree_bit_identical_above_arena_cutoff() {
         for params in configs() {
             let mut rng_ref = SimRng::new(seed ^ 0xBEEF);
             let reference = reference::fit_rows(&data, &rows, params, &mut rng_ref);
-            for &workers in &[1usize, 8] {
-                let mut rng_ker = SimRng::new(seed ^ 0xBEEF);
-                let kernel =
-                    RegressionTree::fit_rows_with(&store, &rows, params, &mut rng_ker, workers);
-                assert_eq!(
-                    reference, kernel,
-                    "seed {seed}, params {params:?}, workers {workers}"
-                );
-            }
+            let mut rng_ker = SimRng::new(seed ^ 0xBEEF);
+            let kernel = RegressionTree::fit_rows_with(&store, &rows, params, &mut rng_ker);
+            assert_eq!(reference, kernel, "seed {seed}, params {params:?}");
         }
     }
 }
@@ -222,7 +211,7 @@ fn kernel_handles_degenerate_shapes() {
                 ..Default::default()
             };
             let reference = reference::fit_rows(&d, &rows, params, &mut rng_ref);
-            let kernel = RegressionTree::fit_rows_with(&store, &rows, params, &mut rng_ker, 8);
+            let kernel = RegressionTree::fit_rows_with(&store, &rows, params, &mut rng_ker);
             assert_eq!(reference, kernel, "seed {seed}, rows {rows:?}");
         }
     }

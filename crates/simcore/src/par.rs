@@ -1,7 +1,7 @@
 //! Order-preserving parallel maps on scoped threads.
 //!
-//! The experiment sweeps, forest training, and the batched prediction
-//! pipeline are embarrassingly parallel: independent jobs, each seeded
+//! The experiment sweeps and forest training are embarrassingly
+//! parallel: independent jobs, each seeded
 //! through [`crate::seed_stream`], whose results are collected in input
 //! order. [`par_map`] covers that shape with `std::thread::scope` — no work
 //! stealing, no external dependency — using *chunked self-scheduling*:
@@ -71,11 +71,10 @@ where
     par_map_workers(items, workers, f)
 }
 
-/// [`par_map`] with an explicit worker count (capped at the item count).
-///
-/// Exposed so callers — and the determinism tests — can pin the thread
-/// count; `workers == 1` runs inline without spawning.
-pub fn par_map_workers<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
+/// [`par_map`] with an explicit worker count (capped at the item count);
+/// `workers == 1` runs inline without spawning. Separate from `par_map`
+/// only so the unit tests below can pin the thread count.
+fn par_map_workers<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
