@@ -6,9 +6,17 @@
 //! [`FunctionProfile`] — not any co-location measurement — is what the
 //! prediction model consumes, which is the paper's key cost saving over
 //! pairwise or microbenchmark profiling.
+//!
+//! A profile's samples are shared and immutable: the series and the
+//! function name sit behind [`Arc`]s, so cloning a [`FunctionProfile`] —
+//! and with it a [`WorkloadProfile`] or any scenario built from one — is
+//! O(1) per function and never copies the 1 Hz series. The scheduler
+//! builds one hypothetical scenario per candidate probe, and the corpus
+//! keeps one per labelled sample; all of them point at the same samples.
 
 use crate::metric::MetricVector;
 use simcore::SimTime;
+use std::sync::Arc;
 
 /// One 1 Hz sample of a function's metric vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,17 +29,20 @@ pub struct ProfileSample {
 
 /// Solo-run profile of one function.
 ///
-/// The whole-window mean is fixed at construction (profiles are write-once:
-/// a changed window means a new profile), so [`mean`](Self::mean) — the
-/// value the spatial coding reads for every function on every featurized
-/// scenario — is a copy, not an O(samples) reduction.
+/// Profiles are write-once: a changed window means a new profile. The
+/// samples and the name are shared, immutable storage, so `clone` is O(1)
+/// (two reference-count increments) and clones compare equal to, and
+/// point at the same samples as, their source. The whole-window mean is
+/// fixed at construction, so [`mean`](Self::mean) — the value the spatial
+/// coding reads for every function on every featurized scenario — is a
+/// copy, not an O(samples) reduction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionProfile {
     /// Name of the profiled function (unique within its workload).
-    pub function: String,
-    /// 1 Hz samples over the profiling window, in time order. Treated as
-    /// immutable after construction — the cached mean is not recomputed.
-    pub samples: Vec<ProfileSample>,
+    pub function: Arc<str>,
+    /// 1 Hz samples over the profiling window, in time order. Shared by
+    /// every clone and immutable — the cached mean is not recomputed.
+    pub samples: Arc<[ProfileSample]>,
     /// Whether the samples include the cold-start phase (paper §5.2: a cold
     /// start is treated as an ordinary execution phase; the predictor picks
     /// the profile variant matching whether the invocation is cold or warm).
@@ -42,9 +53,9 @@ pub struct FunctionProfile {
 }
 
 impl FunctionProfile {
-    /// Build a profile from raw samples.
+    /// Build a profile from raw samples (moved once into shared storage).
     pub fn new(
-        function: impl Into<String>,
+        function: impl Into<Arc<str>>,
         samples: Vec<ProfileSample>,
         includes_cold_start: bool,
     ) -> Self {
@@ -59,7 +70,7 @@ impl FunctionProfile {
         };
         Self {
             function: function.into(),
-            samples,
+            samples: samples.into(),
             includes_cold_start,
             mean,
         }
@@ -106,7 +117,8 @@ impl FunctionProfile {
 ///
 /// For *workload-level* profiling (the baseline in paper Fig. 5 /
 /// Observation 6), use [`WorkloadProfile::merged`] which collapses all
-/// functions into a single monolithic profile.
+/// functions into a single monolithic profile. Cloning copies only the
+/// outer vector and the workload name: every function's samples are shared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Workload name.
@@ -126,7 +138,7 @@ impl WorkloadProfile {
 
     /// Find a function profile by name.
     pub fn function(&self, name: &str) -> Option<&FunctionProfile> {
-        self.functions.iter().find(|f| f.function == name)
+        self.functions.iter().find(|f| &*f.function == name)
     }
 
     /// Collapse to a single monolithic profile by summing metric vectors of
@@ -242,6 +254,33 @@ mod tests {
         assert_eq!(m.samples.len(), 2);
         assert_eq!(m.samples[0].metrics.get(Metric::Ipc), 3.0);
         assert_eq!(m.samples[1].metrics.get(Metric::Ipc), 1.0);
+    }
+
+    #[test]
+    fn clones_share_samples_and_names() {
+        let w = WorkloadProfile::new(
+            "sn",
+            vec![
+                FunctionProfile::new("a", vec![sample(0.0, 1.0), sample(1.0, 4.0)], false),
+                FunctionProfile::new("b", vec![sample(0.0, 2.0)], true),
+            ],
+        );
+        let f = w.functions[0].clone();
+        assert!(Arc::ptr_eq(&f.samples, &w.functions[0].samples));
+        assert!(Arc::ptr_eq(&f.function, &w.functions[0].function));
+        assert_eq!(f.mean(), w.functions[0].mean());
+        assert_eq!(f.duration(), w.functions[0].duration());
+
+        let copy = w.clone();
+        assert_eq!(copy, w);
+        for (c, o) in copy.functions.iter().zip(&w.functions) {
+            assert!(Arc::ptr_eq(&c.samples, &o.samples));
+            assert!(Arc::ptr_eq(&c.function, &o.function));
+            assert_eq!(c.mean(), o.mean());
+            assert_eq!(c.duration(), o.duration());
+        }
+        assert_eq!(copy.merged(), w.merged());
+        assert_eq!(copy.merged().mean().get(Metric::Ipc), 3.5);
     }
 
     #[test]

@@ -70,7 +70,7 @@ mod tests {
         let profile = profiles_from_report(&report, 0, &w, SimTime::from_secs(1.0), true);
         assert_eq!(profile.functions.len(), 9);
         assert_eq!(profile.functions[0].len(), 3);
-        assert_eq!(profile.functions[0].function, "compose-post");
+        assert_eq!(&*profile.functions[0].function, "compose-post");
         assert!(profile.functions[0].includes_cold_start);
         assert_eq!(profile.functions[0].samples[2].at, SimTime::from_secs(2.0));
         assert_eq!(profile.functions[1].len(), 0);

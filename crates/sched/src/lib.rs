@@ -28,11 +28,14 @@
 //! # Predictor-call efficiency
 //!
 //! Scheduling cost is dominated by predictor invocations (the Fig. 14
-//! overhead study), so [`binary_search`] keeps each predictor call cheap:
-//! its probes reject placements that would overcommit a server's CPU
-//! headroom before consulting the predictor, and every probe featurizes
-//! into one reused scratch buffer (`GsightPredictor::predict_with_scratch`)
-//! instead of allocating a fresh `32nS + 2n` vector per call.
+//! overhead study), so [`binary_search`] and [`GsightPlacer`] keep each
+//! predictor call cheap. The binary search's probes reject placements that
+//! would overcommit a server's CPU headroom before consulting the
+//! predictor. Every probe of either featurizes into one reused scratch
+//! buffer (`GsightPredictor::predict_with_scratch`) instead of allocating a
+//! fresh `32nS + 2n` vector per call, and builds its hypothetical scenario
+//! from shared solo profiles (cloning a `metricsd::FunctionProfile` copies
+//! no samples).
 
 pub mod binary_search;
 pub mod overhead;

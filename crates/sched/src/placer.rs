@@ -42,22 +42,20 @@ pub struct WorkloadEntry {
 impl WorkloadEntry {
     /// Build the scenario-view of this workload from its current instances
     /// (each instance appears as one function entry — the spatial coding
-    /// aggregates same-server entries into virtual functions).
-    fn as_colo(&self) -> Option<ColoWorkload> {
-        if self.instances.is_empty() {
+    /// aggregates same-server entries into virtual functions), followed by
+    /// `extra`, a hypothetical `(node, server)` instance, when given.
+    /// `None` when the view would hold no instance. Profiles are shared,
+    /// not copied, so a probe costs only the view's own vectors.
+    fn as_colo_with(&self, extra: Option<(usize, usize)>) -> Option<ColoWorkload> {
+        if self.instances.is_empty() && extra.is_none() {
             return None;
         }
-        let functions: Vec<metricsd::FunctionProfile> = self
-            .instances
-            .iter()
-            .map(|&(node, _)| self.profile.functions[node].clone())
+        let instances = || self.instances.iter().copied().chain(extra);
+        let functions: Vec<metricsd::FunctionProfile> = instances()
+            .map(|(node, _)| self.profile.functions[node].clone())
             .collect();
-        let demands: Vec<Demand> = self
-            .instances
-            .iter()
-            .map(|&(node, _)| self.demands[node])
-            .collect();
-        let placement: Vec<usize> = self.instances.iter().map(|&(_, s)| s).collect();
+        let demands: Vec<Demand> = instances().map(|(node, _)| self.demands[node]).collect();
+        let placement: Vec<usize> = instances().map(|(_, s)| s).collect();
         Some(ColoWorkload::new(
             metricsd::WorkloadProfile::new(self.name.clone(), functions),
             self.class,
@@ -83,6 +81,8 @@ pub struct GsightPlacer {
     /// Wall-clock profile of individual candidate probes (stage
     /// [`Self::PROBE_STAGE`]), when enabled.
     probe_profiler: Option<WallProfiler>,
+    /// Featurization buffer reused by every probe.
+    scratch: Vec<f64>,
 }
 
 impl GsightPlacer {
@@ -97,6 +97,7 @@ impl GsightPlacer {
             predictor_available: true,
             degraded_decisions: 0,
             probe_profiler: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -162,39 +163,20 @@ impl GsightPlacer {
         extra: Option<(usize, usize, usize)>,
         num_servers: usize,
     ) -> Option<f64> {
-        let build = |e: &WorkloadEntry, extra: Option<(usize, usize)>| -> Option<ColoWorkload> {
-            match extra {
-                None => e.as_colo(),
-                Some((node, server)) => {
-                    let mut tmp = WorkloadEntry {
-                        name: e.name.clone(),
-                        class: e.class,
-                        profile: e.profile.clone(),
-                        demands: e.demands.clone(),
-                        sla: e.sla,
-                        instances: e.instances.clone(),
-                    };
-                    tmp.instances.push((node, server));
-                    tmp.as_colo()
-                }
-            }
-        };
-        let target = build(
-            &self.entries[target_idx],
-            extra.and_then(|(w, n, s)| (w == target_idx).then_some((n, s))),
-        )?;
+        let extra_for = |i: usize| extra.and_then(|(w, n, s)| (w == i).then_some((n, s)));
+        let target = self.entries[target_idx].as_colo_with(extra_for(target_idx))?;
         let others: Vec<ColoWorkload> = self
             .entries
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != target_idx)
-            .filter_map(|(i, e)| build(e, extra.and_then(|(w, n, s)| (w == i).then_some((n, s)))))
+            .filter_map(|(i, e)| e.as_colo_with(extra_for(i)))
             .collect();
         self.predictor_calls += 1;
-        Some(
-            self.predictor
-                .predict(&Scenario::new(target, others, num_servers)),
-        )
+        Some(self.predictor.predict_with_scratch(
+            &Scenario::new(target, others, num_servers),
+            &mut self.scratch,
+        ))
     }
 
     /// Whether placing `(workload_idx, node)` on `server` keeps every
@@ -460,29 +442,16 @@ impl PythiaPlacer {
             let Some(min_ipc) = e.sla.min_ipc else {
                 continue;
             };
-            let Some(target) = e.as_colo() else { continue };
+            let Some(target) = e.as_colo_with(None) else {
+                continue;
+            };
+            // Corunner `wl_idx` includes the hypothetical new instance.
             let others: Vec<gsight::ColoWorkload> = self
                 .entries
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .filter_map(|(j, o)| {
-                    if j == wl_idx {
-                        // Include the hypothetical new instance.
-                        let mut tmp = WorkloadEntry {
-                            name: o.name.clone(),
-                            class: o.class,
-                            profile: o.profile.clone(),
-                            demands: o.demands.clone(),
-                            sla: o.sla,
-                            instances: o.instances.clone(),
-                        };
-                        tmp.instances.push((node, 0));
-                        tmp.as_colo()
-                    } else {
-                        o.as_colo()
-                    }
-                })
+                .filter_map(|(j, o)| o.as_colo_with((j == wl_idx).then_some((node, 0))))
                 .collect();
             let scenario = gsight::Scenario::new(target, others, num_servers);
             if self.predictor.predict(&scenario) < min_ipc {
@@ -724,6 +693,99 @@ mod tests {
         // Off by default: a fresh placer records nothing.
         let fresh = GsightPlacer::new(predictor());
         assert!(fresh.probe_profiler().is_none());
+    }
+
+    /// The scenario a probe builds with `as_colo_with` featurizes exactly
+    /// like the one built by copying the entry and pushing the instance.
+    #[test]
+    fn as_colo_with_matches_copy_and_push() {
+        let mut entries: Vec<WorkloadEntry> = [("victim", 2.0), ("agg", 1.0), ("idle", 1.5)]
+            .iter()
+            .map(|&(name, ipc)| {
+                let mut e = entry(name, None);
+                e.profile = WorkloadProfile::new(
+                    name,
+                    (0..2)
+                        .map(|i| {
+                            let mut m = MetricVector::zero();
+                            m.set(Metric::Ipc, ipc + 0.25 * i as f64);
+                            m.set(Metric::L3Mpki, 4.0 * ipc);
+                            FunctionProfile::new(
+                                format!("f{i}"),
+                                vec![ProfileSample {
+                                    at: SimTime::ZERO,
+                                    metrics: m,
+                                }],
+                                false,
+                            )
+                        })
+                        .collect(),
+                );
+                e.demands = (0..2)
+                    .map(|i| Demand::new(1.0 + i as f64, 2.0, 4.0, 0.0, 0.0, 0.5))
+                    .collect();
+                e
+            })
+            .collect();
+        entries[0].instances = vec![(0, 0), (1, 2)];
+        entries[1].instances = vec![(1, 0)];
+        // Oracle: clone the entry, push the instance, build the view.
+        let copy_and_push = |e: &WorkloadEntry, extra: Option<(usize, usize)>| {
+            let mut tmp = WorkloadEntry {
+                name: e.name.clone(),
+                class: e.class,
+                profile: e.profile.clone(),
+                demands: e.demands.clone(),
+                sla: e.sla,
+                instances: e.instances.clone(),
+            };
+            tmp.instances.extend(extra);
+            tmp.as_colo_with(None)
+        };
+        let coding = CodingConfig {
+            num_servers: 4,
+            max_workloads: 3,
+        };
+        let bits = |s: &Scenario| -> Vec<u64> {
+            gsight::featurize(s, &coding)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        // Target view first, then the other placed workloads in order.
+        let scenario = |target: usize, mut views: Vec<Option<ColoWorkload>>| {
+            let t = views.remove(target)?;
+            Some(Scenario::new(t, views.into_iter().flatten().collect(), 4))
+        };
+        let mut compared = 0;
+        for wl in 0..entries.len() {
+            for node in 0..2 {
+                for server in 0..4 {
+                    let extra_for = |i: usize| (i == wl).then_some((node, server));
+                    let shared: Vec<_> = (0..entries.len())
+                        .map(|i| entries[i].as_colo_with(extra_for(i)))
+                        .collect();
+                    let copied: Vec<_> = (0..entries.len())
+                        .map(|i| copy_and_push(&entries[i], extra_for(i)))
+                        .collect();
+                    for target in 0..entries.len() {
+                        let a = scenario(target, shared.clone());
+                        let b = scenario(target, copied.clone());
+                        assert_eq!(a.is_some(), b.is_some());
+                        if let (Some(a), Some(b)) = (a, b) {
+                            assert_eq!(
+                                bits(&a),
+                                bits(&b),
+                                "target {target}, ({wl}, {node}, {server})"
+                            );
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // The unplaced target is skipped unless the probe places it.
+        assert_eq!(compared, 3 * 3 * 2 * 4 - 2 * 2 * 4);
     }
 
     #[test]
