@@ -40,22 +40,36 @@ pub struct SocketLoad {
 }
 
 /// Snapshot of a server's contention state for one instance set.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The socket-wide and server-wide pressure terms are computed once, when
+/// the loads are aggregated; [`ContentionState::instance`] then adds only
+/// the instance's own terms. `Default` is an empty placeholder to
+/// [`recompute`](ContentionState::recompute) into.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ContentionState {
     /// Per-socket aggregate loads.
-    pub sockets: Vec<SocketLoad>,
-    /// Server-wide disk demand (MB/s).
-    pub disk: f64,
-    /// Server-wide network demand (MB/s).
-    pub net: f64,
-    /// Server-wide memory demand (GB).
-    pub memory: f64,
+    sockets: Vec<SocketLoad>,
     cores_per_socket: f64,
     membw_per_socket: f64,
     llc_per_socket: f64,
     disk_cap: f64,
     net_cap: f64,
-    mem_cap: f64,
+    /// Per-socket pressure terms, parallel to `sockets`.
+    terms: Vec<SocketTerms>,
+    /// Server-wide disk stretch `max(1, X/C)`.
+    disk_stretch: f64,
+    /// Server-wide network stretch `max(1, X/C)`.
+    net_stretch: f64,
+    /// Server-wide memory-capacity oversubscription `(X/C − 1)⁺`.
+    mem_excess: f64,
+}
+
+/// The pressure terms every instance on one socket shares.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct SocketTerms {
+    cpu_share: f64,
+    membw_pressure: f64,
+    llc_squeeze: f64,
 }
 
 /// The contention experienced by one instance, decomposed by mechanism.
@@ -134,19 +148,41 @@ pub fn membw_curve(u: f64) -> f64 {
     }
 }
 
+/// LLC squeeze fraction of `footprint` MB on a `cache` MB cache:
+/// `1 − min(1, C/F)`.
+#[inline]
+fn llc_squeeze(footprint: f64, cache: f64) -> f64 {
+    if footprint <= cache {
+        0.0
+    } else {
+        1.0 - cache / footprint
+    }
+}
+
 impl ContentionState {
     /// Aggregate the loads of an instance set on a server.
     pub fn compute<'a>(
         spec: &ServerSpec,
         instances: impl Iterator<Item = &'a InstanceLoad>,
     ) -> Self {
-        let nsockets = spec.sockets as usize;
-        let mut sockets = vec![SocketLoad::default(); nsockets];
-        let mut disk = 0.0;
-        let mut net = 0.0;
-        let mut memory = 0.0;
+        let mut state = Self::default();
+        state.recompute(spec, instances);
+        state
+    }
+
+    /// [`ContentionState::compute`] in place, reusing the per-socket
+    /// buffers.
+    pub fn recompute<'a>(
+        &mut self,
+        spec: &ServerSpec,
+        instances: impl Iterator<Item = &'a InstanceLoad>,
+    ) {
+        self.sockets.clear();
+        self.sockets
+            .resize(spec.sockets as usize, SocketLoad::default());
+        let (mut disk, mut net, mut memory) = (0.0, 0.0, 0.0);
         for load in instances {
-            let s = &mut sockets[load.socket];
+            let s = &mut self.sockets[load.socket];
             s.cpu += load.demand.get(Resource::Cpu);
             s.membw += load.demand.get(Resource::MemBw);
             s.llc += load.demand.get(Resource::Llc);
@@ -154,54 +190,23 @@ impl ContentionState {
             net += load.demand.get(Resource::Net);
             memory += load.demand.get(Resource::Memory);
         }
-        Self {
-            sockets,
-            disk,
-            net,
-            memory,
-            cores_per_socket: spec.cores_per_socket(),
-            membw_per_socket: spec.membw_gbs_per_socket,
-            llc_per_socket: spec.llc_mb_per_socket,
-            disk_cap: spec.disk_mbs,
-            net_cap: spec.net_mbs,
-            mem_cap: spec.memory_gb,
+        self.cores_per_socket = spec.cores_per_socket();
+        self.membw_per_socket = spec.membw_gbs_per_socket;
+        self.llc_per_socket = spec.llc_mb_per_socket;
+        self.disk_cap = spec.disk_mbs;
+        self.net_cap = spec.net_mbs;
+
+        self.terms.clear();
+        for s in &self.sockets {
+            self.terms.push(SocketTerms {
+                cpu_share: s.cpu / self.cores_per_socket,
+                membw_pressure: membw_curve(s.membw / self.membw_per_socket),
+                llc_squeeze: llc_squeeze(s.llc, self.llc_per_socket),
+            });
         }
-    }
-
-    /// CPU oversubscription ratio `X/C` on a socket.
-    pub fn cpu_share(&self, socket: usize) -> f64 {
-        self.sockets[socket].cpu / self.cores_per_socket
-    }
-
-    /// Memory-bandwidth pressure on a socket via [`membw_curve`].
-    pub fn membw_pressure(&self, socket: usize) -> f64 {
-        membw_curve(self.sockets[socket].membw / self.membw_per_socket)
-    }
-
-    /// LLC squeeze fraction on a socket: `1 − min(1, C/F)` where `F` is the
-    /// total footprint.
-    pub fn llc_squeeze(&self, socket: usize) -> f64 {
-        let f = self.sockets[socket].llc;
-        if f <= self.llc_per_socket {
-            0.0
-        } else {
-            1.0 - self.llc_per_socket / f
-        }
-    }
-
-    /// Disk bandwidth stretch `max(1, X/C)`.
-    pub fn disk_stretch(&self) -> f64 {
-        (self.disk / self.disk_cap).max(1.0)
-    }
-
-    /// Network bandwidth stretch `max(1, X/C)`.
-    pub fn net_stretch(&self) -> f64 {
-        (self.net / self.net_cap).max(1.0)
-    }
-
-    /// Memory-capacity oversubscription `(X/C − 1)⁺`.
-    pub fn mem_excess(&self) -> f64 {
-        (self.memory / self.mem_cap - 1.0).max(0.0)
+        self.disk_stretch = (disk / self.disk_cap).max(1.0);
+        self.net_stretch = (net / self.net_cap).max(1.0);
+        self.mem_excess = (memory / spec.memory_gb - 1.0).max(0.0);
     }
 
     /// Full contention decomposition for one instance.
@@ -211,8 +216,9 @@ impl ContentionState {
     /// the model must report the additional stretch corunners cause, not
     /// the absolute pressure (which includes the instance's own demand).
     /// An instance alone on a server therefore always gets slowdown 1.
+    #[inline]
     pub fn instance(&self, load: &InstanceLoad) -> InstanceContention {
-        let socket = load.socket;
+        let shared = self.terms[load.socket];
         let smt = load.sens.smt;
         let cpu_timeshare = |u: f64| {
             if u <= 1.0 {
@@ -221,31 +227,26 @@ impl ContentionState {
                 u * (1.0 + smt * (u - 1.0))
             }
         };
-        let cpu_share = self.cpu_share(socket);
+        let cpu_share = shared.cpu_share;
         let cpu_own = load.demand.get(Resource::Cpu) / self.cores_per_socket;
         let cpu_stretch = cpu_timeshare(cpu_share) / cpu_timeshare(cpu_own);
 
-        let p_all = self.membw_pressure(socket);
+        let p_all = shared.membw_pressure;
         let p_own = membw_curve(load.demand.get(Resource::MemBw) / self.membw_per_socket);
         let membw_pressure = (p_all - p_own).max(0.0);
 
-        let sq_all = self.llc_squeeze(socket);
-        let own_fp = load.demand.get(Resource::Llc);
-        let sq_own = if own_fp <= self.llc_per_socket {
-            0.0
-        } else {
-            1.0 - self.llc_per_socket / own_fp
-        };
+        let sq_all = shared.llc_squeeze;
+        let sq_own = llc_squeeze(load.demand.get(Resource::Llc), self.llc_per_socket);
         let llc_squeeze = (sq_all - sq_own).max(0.0);
 
         let mem_factor = ((1.0 + load.sens.membw * p_all) / (1.0 + load.sens.membw * p_own))
             * ((1.0 + load.sens.llc * sq_all) / (1.0 + load.sens.llc * sq_own));
 
         let disk_own = (load.demand.get(Resource::Disk) / self.disk_cap).max(1.0);
-        let disk_stretch = self.disk_stretch() / disk_own;
+        let disk_stretch = self.disk_stretch / disk_own;
         let net_own = (load.demand.get(Resource::Net) / self.net_cap).max(1.0);
-        let net_stretch = self.net_stretch() / net_own;
-        let mem_excess = self.mem_excess();
+        let net_stretch = self.net_stretch / net_own;
+        let mem_excess = self.mem_excess;
 
         let slowdown_core = load.bounded.cpu * cpu_stretch * mem_factor
             + load.bounded.disk * disk_stretch
@@ -277,7 +278,9 @@ mod tests {
     use super::*;
     use crate::config::ServerSpec;
     use crate::resources::{Boundedness, Demand};
-    use crate::server::ServerState;
+    use crate::server::{InstanceId, ServerState};
+    use simcore::SimRng;
+    use std::collections::BTreeMap;
 
     fn inst(
         cpu: f64,
@@ -433,5 +436,202 @@ mod tests {
         let ic = InstanceContention::solo();
         assert_eq!(ic.slowdown, 1.0);
         assert_eq!(ic.mem_factor, 1.0);
+    }
+
+    /// A load on a random socket, with demands from idle to several times
+    /// a socket's capacity and memory that can oversubscribe the server.
+    fn random_load(rng: &mut SimRng, spec: &ServerSpec) -> InstanceLoad {
+        let cpu_w = rng.f64();
+        let disk_w = rng.f64() * (1.0 - cpu_w);
+        InstanceLoad {
+            demand: Demand::new(
+                rng.f64() * 6.0,
+                rng.f64() * 40.0,
+                rng.f64() * 30.0,
+                rng.f64() * 300.0,
+                rng.f64() * 600.0,
+                rng.f64() * 40.0,
+            ),
+            bounded: Boundedness::new(cpu_w, disk_w, 1.0 - cpu_w - disk_w),
+            sens: Sensitivity::new(rng.f64() * 2.0, rng.f64() * 2.0, rng.f64()),
+            socket: rng.index(spec.sockets as usize),
+        }
+    }
+
+    /// Seeded walk of interleaved adds (half the steps), updates and
+    /// removes on one server, mirrored into a `BTreeMap` keyed by id;
+    /// `check` runs after every step.
+    fn random_walk(
+        spec: &ServerSpec,
+        seed: u64,
+        mut check: impl FnMut(&ServerState, &BTreeMap<InstanceId, InstanceLoad>),
+    ) {
+        let mut rng = SimRng::new(seed);
+        let mut s = ServerState::new(spec.clone());
+        let mut reference = BTreeMap::new();
+        for _ in 0..300 {
+            let ids: Vec<InstanceId> = reference.keys().copied().collect();
+            let op = if ids.is_empty() { 0 } else { rng.index(4) };
+            match op {
+                0 | 1 => {
+                    let load = random_load(&mut rng, spec);
+                    reference.insert(s.add(load), load);
+                }
+                2 => {
+                    let id = ids[rng.index(ids.len())];
+                    let load = random_load(&mut rng, spec);
+                    assert!(s.update(id, load));
+                    reference.insert(id, load);
+                }
+                _ => {
+                    let id = ids[rng.index(ids.len())];
+                    assert_eq!(s.remove(id), reference.remove(&id));
+                    assert_eq!(s.remove(id), None);
+                }
+            }
+            check(&s, &reference);
+        }
+    }
+
+    fn specs() -> [(ServerSpec, u64); 3] {
+        [
+            (ServerSpec::small(), 1),
+            (ServerSpec::dual_socket(), 2),
+            (ServerSpec::paper_node(), 4),
+        ]
+    }
+
+    #[test]
+    fn server_state_keeps_id_order_under_random_walk() {
+        for (spec, seed) in specs() {
+            random_walk(&spec, seed, |s, reference| {
+                let got: Vec<(InstanceId, InstanceLoad)> =
+                    s.iter().map(|(id, l)| (id, *l)).collect();
+                let want: Vec<(InstanceId, InstanceLoad)> =
+                    reference.iter().map(|(&id, &l)| (id, l)).collect();
+                assert_eq!(got, want);
+                for (&id, load) in reference {
+                    assert_eq!(s.get(id), Some(load));
+                }
+                // Least-loaded socket as a per-socket array sum over the
+                // map, in id order.
+                let mut cpu = vec![0.0f64; spec.sockets as usize];
+                for load in reference.values() {
+                    cpu[load.socket] += load.demand.get(Resource::Cpu);
+                }
+                for exclude in [None, Some(0)] {
+                    let want = (0..cpu.len())
+                        .filter(|&k| Some(k) != exclude)
+                        .min_by(|&a, &b| cpu[a].partial_cmp(&cpu[b]).unwrap())
+                        .unwrap_or(0);
+                    assert_eq!(s.least_loaded_socket(exclude), want);
+                }
+            });
+        }
+    }
+
+    fn bits(ic: &InstanceContention) -> [u64; 9] {
+        [
+            ic.cpu_stretch,
+            ic.cpu_share,
+            ic.membw_pressure,
+            ic.llc_squeeze,
+            ic.mem_factor,
+            ic.disk_stretch,
+            ic.net_stretch,
+            ic.mem_excess,
+            ic.slowdown,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// The per-instance model written out whole: every socket-wide and
+    /// server-wide term recomputed from the raw loads for this instance.
+    fn per_instance_oracle(
+        spec: &ServerSpec,
+        s: &ServerState,
+        load: &InstanceLoad,
+    ) -> InstanceContention {
+        let (mut cpu, mut membw, mut llc) = (0.0, 0.0, 0.0);
+        let (mut disk, mut net, mut memory) = (0.0, 0.0, 0.0);
+        for (_, l) in s.iter() {
+            if l.socket == load.socket {
+                cpu += l.demand.get(Resource::Cpu);
+                membw += l.demand.get(Resource::MemBw);
+                llc += l.demand.get(Resource::Llc);
+            }
+            disk += l.demand.get(Resource::Disk);
+            net += l.demand.get(Resource::Net);
+            memory += l.demand.get(Resource::Memory);
+        }
+        let own = |r: Resource| load.demand.get(r);
+        let cores = spec.cores_per_socket();
+        let smt = load.sens.smt;
+        let timeshare = |u: f64| {
+            if u <= 1.0 {
+                1.0
+            } else {
+                u * (1.0 + smt * (u - 1.0))
+            }
+        };
+        let curve = |u: f64| {
+            if u <= 1.0 {
+                0.5 * u.powi(4)
+            } else {
+                (0.5 + 2.0 * (u - 1.0)).min(1.0)
+            }
+        };
+        let cache = spec.llc_mb_per_socket;
+        let squeeze = |f: f64| if f <= cache { 0.0 } else { 1.0 - cache / f };
+
+        let cpu_share = cpu / cores;
+        let cpu_stretch = timeshare(cpu_share) / timeshare(own(Resource::Cpu) / cores);
+        let p_all = curve(membw / spec.membw_gbs_per_socket);
+        let p_own = curve(own(Resource::MemBw) / spec.membw_gbs_per_socket);
+        let sq_all = squeeze(llc);
+        let sq_own = squeeze(own(Resource::Llc));
+        let mem_factor = ((1.0 + load.sens.membw * p_all) / (1.0 + load.sens.membw * p_own))
+            * ((1.0 + load.sens.llc * sq_all) / (1.0 + load.sens.llc * sq_own));
+        let disk_stretch =
+            (disk / spec.disk_mbs).max(1.0) / (own(Resource::Disk) / spec.disk_mbs).max(1.0);
+        let net_stretch =
+            (net / spec.net_mbs).max(1.0) / (own(Resource::Net) / spec.net_mbs).max(1.0);
+        let mem_excess = (memory / spec.memory_gb - 1.0).max(0.0);
+        let slowdown = (load.bounded.cpu * cpu_stretch * mem_factor
+            + load.bounded.disk * disk_stretch
+            + load.bounded.net * net_stretch)
+            * (1.0 + 4.0 * mem_excess);
+        InstanceContention {
+            cpu_stretch,
+            cpu_share,
+            membw_pressure: (p_all - p_own).max(0.0),
+            llc_squeeze: (sq_all - sq_own).max(0.0),
+            mem_factor,
+            disk_stretch,
+            net_stretch,
+            mem_excess,
+            slowdown,
+        }
+    }
+
+    #[test]
+    fn shared_terms_match_per_instance_formula_bit_for_bit() {
+        // One state recomputed in place across every step and spec, as the
+        // engine reuses one across servers.
+        let mut reused = ContentionState::default();
+        let mut checked = 0;
+        for (spec, seed) in specs() {
+            random_walk(&spec, seed, |s, _| {
+                let fresh = s.contention();
+                s.contention_into(&mut reused);
+                assert_eq!(reused, fresh);
+                for (_, load) in s.iter() {
+                    let want = per_instance_oracle(&spec, s, load);
+                    assert_eq!(bits(&fresh.instance(load)), bits(&want), "{load:?}");
+                    checked += 1;
+                }
+            });
+        }
+        assert!(checked > 10_000, "{checked} instances checked");
     }
 }

@@ -4,7 +4,6 @@
 use crate::config::ServerSpec;
 use crate::contention::ContentionState;
 use crate::resources::{Boundedness, Demand, Resource, Sensitivity};
-use std::collections::BTreeMap;
 
 /// Opaque handle to an instance placed on a server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,12 +24,14 @@ pub struct InstanceLoad {
 
 /// Mutable server state: placed instances and their socket pinning.
 ///
-/// Uses a `BTreeMap` so iteration order is deterministic — the contention
-/// model and metric synthesis must not depend on hash order.
+/// Instances live in a vector sorted by id — ids are issued in increasing
+/// order, so a push keeps it sorted and lookups binary-search. Iteration is
+/// in id order, so the contention model and metric synthesis sum loads in
+/// a deterministic order.
 #[derive(Debug, Clone)]
 pub struct ServerState {
     spec: ServerSpec,
-    instances: BTreeMap<InstanceId, InstanceLoad>,
+    instances: Vec<(InstanceId, InstanceLoad)>,
     next_id: u64,
 }
 
@@ -39,7 +40,7 @@ impl ServerState {
     pub fn new(spec: ServerSpec) -> Self {
         Self {
             spec,
-            instances: BTreeMap::new(),
+            instances: Vec::new(),
             next_id: 0,
         }
     }
@@ -60,30 +61,35 @@ impl ServerState {
         );
         let id = InstanceId(self.next_id);
         self.next_id += 1;
-        self.instances.insert(id, load);
+        self.instances.push((id, load));
         id
+    }
+
+    fn position(&self, id: InstanceId) -> Option<usize> {
+        self.instances.binary_search_by_key(&id, |&(i, _)| i).ok()
     }
 
     /// Remove an instance, returning its load (None if unknown).
     pub fn remove(&mut self, id: InstanceId) -> Option<InstanceLoad> {
-        self.instances.remove(&id)
+        let pos = self.position(id)?;
+        Some(self.instances.remove(pos).1)
     }
 
     /// Look up an instance's load.
     pub fn get(&self, id: InstanceId) -> Option<&InstanceLoad> {
-        self.instances.get(&id)
+        self.position(id).map(|pos| &self.instances[pos].1)
     }
 
     /// Replace an instance's load (e.g. on a phase transition). Returns
     /// false if the instance is unknown.
     pub fn update(&mut self, id: InstanceId, load: InstanceLoad) -> bool {
-        match self.instances.get_mut(&id) {
-            Some(slot) => {
+        match self.position(id) {
+            Some(pos) => {
                 assert!(
                     load.socket < self.spec.sockets as usize,
                     "socket out of range"
                 );
-                *slot = load;
+                self.instances[pos].1 = load;
                 true
             }
             None => false,
@@ -100,35 +106,47 @@ impl ServerState {
         self.instances.is_empty()
     }
 
-    /// Deterministic iteration over `(id, load)`.
+    /// Deterministic iteration over `(id, load)`, in id order.
     pub fn iter(&self) -> impl Iterator<Item = (InstanceId, &InstanceLoad)> {
-        self.instances.iter().map(|(&id, load)| (id, load))
+        self.instances.iter().map(|(id, load)| (*id, load))
+    }
+
+    fn loads(&self) -> impl Iterator<Item = &InstanceLoad> {
+        self.instances.iter().map(|(_, load)| load)
     }
 
     /// Socket with the lowest current CPU demand, optionally excluding one
-    /// socket (used when migrating a corunner *away* from a victim).
+    /// socket (used when migrating a corunner *away* from a victim). Ties
+    /// go to the lowest socket index.
     pub fn least_loaded_socket(&self, exclude: Option<usize>) -> usize {
-        let sockets = self.spec.sockets as usize;
-        let mut cpu = vec![0.0f64; sockets];
-        for load in self.instances.values() {
-            cpu[load.socket] += load.demand.get(Resource::Cpu);
-        }
-        (0..sockets)
+        let socket_cpu = |s: usize| -> f64 {
+            self.loads()
+                .filter(|l| l.socket == s)
+                .map(|l| l.demand.get(Resource::Cpu))
+                .fold(0.0, |acc, cpu| acc + cpu)
+        };
+        (0..self.spec.sockets as usize)
             .filter(|&s| Some(s) != exclude)
-            .min_by(|&a, &b| cpu[a].partial_cmp(&cpu[b]).expect("NaN cpu load"))
-            .unwrap_or(0)
+            .map(|s| (s, socket_cpu(s)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN cpu load"))
+            .map_or(0, |(s, _)| s)
     }
 
     /// Total demand summed over all instances (for utilization accounting).
     pub fn total_demand(&self) -> Demand {
-        self.instances
-            .values()
+        self.loads()
             .fold(Demand::zero(), |acc, l| acc.add(&l.demand))
     }
 
     /// Snapshot the contention state for the current instance set.
     pub fn contention(&self) -> ContentionState {
-        ContentionState::compute(&self.spec, self.instances.values())
+        ContentionState::compute(&self.spec, self.loads())
+    }
+
+    /// [`ServerState::contention`] into an existing state, reusing its
+    /// buffers.
+    pub fn contention_into(&self, out: &mut ContentionState) {
+        out.recompute(&self.spec, self.loads());
     }
 
     /// CPU utilization fraction: total CPU demand over physical cores,

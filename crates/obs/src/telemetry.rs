@@ -1,12 +1,15 @@
 //! Platform telemetry: named counters, gauges and histograms.
 //!
-//! A [`Telemetry`] registry is a flat, insertion-cheap map from metric name
-//! to state. Counters are monotonic `u64`s; gauges remember their last
-//! sample plus running moments; histograms add a deterministic log-spaced
-//! bucket array for percentile queries (no RNG, unlike
-//! `simcore::stats::Reservoir`, so recording a metric can never perturb a
-//! seeded simulation). Everything exports as JSONL (one metric per line) or
-//! CSV via the shared summary schema.
+//! A [`Telemetry`] registry holds metric state in a vector, indexed by a
+//! sorted name map that fixes the export order; updates resolve their
+//! `&'static str` name through an address cache, so once a metric exists
+//! an update compares no strings and allocates nothing. Counters are
+//! monotonic `u64`s; gauges remember their last sample plus running
+//! moments; histograms add a deterministic log-spaced bucket array for
+//! percentile queries (no RNG, unlike `simcore::stats::Reservoir`, so
+//! recording a metric can never perturb a seeded simulation). Everything
+//! exports as JSONL (one metric per line) or CSV via the shared summary
+//! schema.
 
 use crate::json::Json;
 use simcore::stats::OnlineStats;
@@ -85,11 +88,30 @@ pub(crate) enum Metric {
     Histogram(LogHistogram),
 }
 
+fn new_gauge() -> Metric {
+    Metric::Gauge {
+        last: 0.0,
+        stats: OnlineStats::new(),
+    }
+}
+
 /// The registry. Metric kind is fixed by first use; re-using a name with a
 /// different kind panics (it is always a bug at the producer site).
+///
+/// Updates name their metric with a `&'static str` and are resolved through
+/// an address cache: the first update through a given literal looks the
+/// name up (creating the metric if it is new) and remembers the literal's
+/// `(address, length)`; later updates through it compare two words instead
+/// of a string. Static memory is never reused, so a cache hit always names
+/// the same metric. Reads, exports and [`Telemetry::merge`] go by name.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    metrics: BTreeMap<String, Metric>,
+    /// Metric state in first-use order.
+    metrics: Vec<Metric>,
+    /// Name → index into `metrics`; its sorted order is the export order.
+    index: BTreeMap<String, usize>,
+    /// `(address, length, index)` of every name literal seen so far.
+    by_addr: Vec<(usize, usize, usize)>,
 }
 
 impl Telemetry {
@@ -99,30 +121,16 @@ impl Telemetry {
     }
 
     /// Add `by` to a counter (creating it at zero).
-    pub fn incr(&mut self, name: &str, by: u64) {
-        let metric = match self.metrics.get_mut(name) {
-            Some(m) => m,
-            None => self.insert(name, Metric::Counter(0)),
-        };
-        match metric {
+    pub fn incr(&mut self, name: &'static str, by: u64) {
+        match self.slot(name, || Metric::Counter(0)) {
             Metric::Counter(c) => *c += by,
             _ => panic!("telemetry metric '{name}' is not a counter"),
         }
     }
 
     /// Set a gauge's current value (also feeds its running moments).
-    pub fn gauge(&mut self, name: &str, value: f64) {
-        let metric = match self.metrics.get_mut(name) {
-            Some(m) => m,
-            None => self.insert(
-                name,
-                Metric::Gauge {
-                    last: 0.0,
-                    stats: OnlineStats::new(),
-                },
-            ),
-        };
-        match metric {
+    pub fn gauge(&mut self, name: &'static str, value: f64) {
+        match self.slot(name, new_gauge) {
             Metric::Gauge { last, stats } => {
                 *last = value;
                 stats.push(value);
@@ -132,25 +140,53 @@ impl Telemetry {
     }
 
     /// Record an observation into a histogram.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        let metric = match self.metrics.get_mut(name) {
-            Some(m) => m,
-            None => self.insert(name, Metric::Histogram(LogHistogram::default())),
-        };
-        match metric {
+    pub fn observe(&mut self, name: &'static str, value: f64) {
+        match self.slot(name, || Metric::Histogram(LogHistogram::default())) {
             Metric::Histogram(h) => h.observe(value),
             _ => panic!("telemetry metric '{name}' is not a histogram"),
         }
     }
 
-    /// First use of `name`: the only update that allocates its key.
-    fn insert(&mut self, name: &str, metric: Metric) -> &mut Metric {
-        self.metrics.entry(name.to_string()).or_insert(metric)
+    /// The metric a name literal refers to, via the address cache.
+    #[inline]
+    fn slot(&mut self, name: &'static str, new: fn() -> Metric) -> &mut Metric {
+        let (addr, len) = (name.as_ptr() as usize, name.len());
+        let idx = match self.by_addr.iter().find(|e| e.0 == addr && e.1 == len) {
+            Some(&(_, _, idx)) => idx,
+            None => {
+                let idx = self.index_of(name, new);
+                self.by_addr.push((addr, len, idx));
+                idx
+            }
+        };
+        &mut self.metrics[idx]
+    }
+
+    /// Index of `name`, creating the metric with `new` on first use: the
+    /// only update that allocates its key.
+    fn index_of(&mut self, name: &str, new: impl FnOnce() -> Metric) -> usize {
+        if let Some(&idx) = self.index.get(name) {
+            return idx;
+        }
+        self.metrics.push(new());
+        self.index.insert(name.to_string(), self.metrics.len() - 1);
+        self.metrics.len() - 1
+    }
+
+    fn get(&self, name: &str) -> Option<&Metric> {
+        self.index.get(name).map(|&idx| &self.metrics[idx])
+    }
+
+    /// `(name, metric)` in sorted name order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
+        self.index
+            .iter()
+            .map(|(name, &idx)| (name.as_str(), &self.metrics[idx]))
     }
 
     /// Current value of a counter (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        match self.metrics.get(name) {
+        match self.get(name) {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
         }
@@ -158,7 +194,7 @@ impl Telemetry {
 
     /// Last value of a gauge, if set.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        match self.metrics.get(name) {
+        match self.get(name) {
             Some(Metric::Gauge { last, .. }) => Some(*last),
             _ => None,
         }
@@ -166,7 +202,7 @@ impl Telemetry {
 
     /// Histogram state, if the metric exists and is one.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        match self.metrics.get(name) {
+        match self.get(name) {
             Some(Metric::Histogram(h)) => Some(h),
             _ => None,
         }
@@ -174,20 +210,27 @@ impl Telemetry {
 
     /// Metric names in sorted order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.metrics.keys().map(String::as_str)
+        self.index.keys().map(String::as_str)
     }
 
     /// Fold another registry into this one (counters add, gauges keep the
     /// other's last value, histograms merge moments and buckets).
     pub fn merge(&mut self, other: &Telemetry) {
-        for (name, metric) in &other.metrics {
+        for (name, metric) in other.iter() {
             match metric {
-                Metric::Counter(c) => self.incr(name, *c),
+                Metric::Counter(by) => {
+                    let idx = self.index_of(name, || Metric::Counter(0));
+                    match &mut self.metrics[idx] {
+                        Metric::Counter(c) => *c += by,
+                        _ => panic!("telemetry metric '{name}' is not a counter"),
+                    }
+                }
                 Metric::Gauge { last, stats } => {
-                    match self.metrics.entry(name.clone()).or_insert(Metric::Gauge {
+                    let idx = self.index_of(name, || Metric::Gauge {
                         last: *last,
                         stats: OnlineStats::new(),
-                    }) {
+                    });
+                    match &mut self.metrics[idx] {
                         Metric::Gauge { last: l, stats: s } => {
                             *l = *last;
                             s.merge(stats);
@@ -196,17 +239,14 @@ impl Telemetry {
                     }
                 }
                 Metric::Histogram(h) => {
-                    match self
-                        .metrics
-                        .entry(name.clone())
-                        .or_insert_with(|| Metric::Histogram(LogHistogram::default()))
-                    {
+                    let idx = self.index_of(name, || Metric::Histogram(LogHistogram::default()));
+                    match &mut self.metrics[idx] {
                         Metric::Histogram(mine) => {
                             mine.stats.merge(&h.stats);
-                            for &(idx, c) in &h.counts {
-                                match mine.counts.binary_search_by_key(&idx, |&(i, _)| i) {
+                            for &(bucket, c) in &h.counts {
+                                match mine.counts.binary_search_by_key(&bucket, |&(i, _)| i) {
                                     Ok(pos) => mine.counts[pos].1 += c,
-                                    Err(pos) => mine.counts.insert(pos, (idx, c)),
+                                    Err(pos) => mine.counts.insert(pos, (bucket, c)),
                                 }
                             }
                         }
@@ -243,7 +283,7 @@ impl Telemetry {
     /// One JSON object per metric, newline-separated (JSONL).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (name, metric) in &self.metrics {
+        for (name, metric) in self.iter() {
             out.push_str(&self.metric_json(name, metric).render());
             out.push('\n');
         }
@@ -254,7 +294,7 @@ impl Telemetry {
     /// left empty.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("name,kind,value,count,mean,p50,p95,p99,min,max\n");
-        for (name, metric) in &self.metrics {
+        for (name, metric) in self.iter() {
             let line = match metric {
                 Metric::Counter(c) => format!("{name},counter,{c},,,,,,,"),
                 Metric::Gauge { last, stats } => format!(
@@ -374,5 +414,99 @@ mod tests {
         let mut t = Telemetry::new();
         t.gauge("x", 1.0);
         t.incr("x", 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a histogram")]
+    fn kind_mismatch_panics_on_a_cached_name() {
+        let name: &'static str = "x";
+        let mut t = Telemetry::new();
+        t.incr(name, 1);
+        t.incr(name, 1);
+        assert_eq!(t.by_addr.len(), 1, "the literal is in the address cache");
+        t.observe(name, 1.0);
+    }
+
+    /// A mixed sequence of updates: kind (`c`ounter, `g`auge, `h`istogram),
+    /// name, value. Names repeat, out of sorted order.
+    const UPDATES: &[(char, &str, f64)] = &[
+        ('c', "requests.arrivals", 1.0),
+        ('h', "gateway.forward_ms", 0.75),
+        ('g', "tasks.queued", 3.0),
+        ('c', "contention.recomputes", 1.0),
+        ('c', "requests.arrivals", 1.0),
+        ('h', "gateway.forward_ms", 12.5),
+        ('h', "function.local_ms", 0.0),
+        ('g', "tasks.queued", 0.0),
+        ('c', "contention.recomputes", 4.0),
+        ('h', "gateway.forward_ms", -1.0),
+        ('g', "gateway.depth", 17.0),
+        ('c', "autoscaler.rejections", 0.0),
+        ('h', "function.local_ms", 1e6),
+    ];
+
+    fn apply(t: &mut Telemetry, kind: char, name: &'static str, value: f64) {
+        match kind {
+            'c' => t.incr(name, value as u64),
+            'g' => t.gauge(name, value),
+            _ => t.observe(name, value),
+        }
+    }
+
+    #[test]
+    fn cached_updates_match_by_name_rebuild() {
+        let mut cached = Telemetry::new();
+        let mut by_name = Telemetry::new();
+        for &(kind, name, value) in UPDATES {
+            apply(&mut cached, kind, name, value);
+            // A fresh copy of the name has an address never seen before, so
+            // every update of `by_name` misses the cache and goes by name.
+            let fresh: &'static str = Box::leak(name.to_string().into_boxed_str());
+            assert_ne!(fresh.as_ptr(), name.as_ptr());
+            apply(&mut by_name, kind, fresh, value);
+        }
+        assert_eq!(by_name.by_addr.len(), UPDATES.len());
+        assert_eq!(cached.names().count(), 7);
+        assert_eq!(cached.to_jsonl(), by_name.to_jsonl());
+        assert_eq!(cached.to_csv(), by_name.to_csv());
+        assert_eq!(cached.counter("contention.recomputes"), 5);
+        assert_eq!(cached.histogram("gateway.forward_ms").unwrap().count(), 3);
+    }
+
+    #[test]
+    fn metric_appears_only_after_first_update() {
+        let mut t = Telemetry::new();
+        assert_eq!(t.counter("n"), 0);
+        assert_eq!(t.gauge_value("g"), None);
+        assert!(t.histogram("h").is_none());
+        assert_eq!(t.names().count(), 0, "reads create nothing");
+        assert_eq!(t.to_jsonl(), "");
+        t.incr("n", 0);
+        assert_eq!(t.names().collect::<Vec<_>>(), ["n"]);
+        t.observe("h", 2.0);
+        assert_eq!(t.names().collect::<Vec<_>>(), ["h", "n"]);
+        assert_eq!(t.to_jsonl().lines().count(), 2);
+        assert_eq!(t.to_csv().lines().count(), 3);
+    }
+
+    #[test]
+    fn merged_metrics_share_the_cached_path() {
+        let mut a = Telemetry::new();
+        a.incr("n", 1);
+        let mut b = Telemetry::new();
+        b.incr("n", 2);
+        b.gauge("g", 5.0);
+        b.observe("h", 1.0);
+        a.merge(&b);
+        // Names that entered by merge resolve to the same metric on their
+        // first cached update, and names already cached keep theirs.
+        a.gauge("g", 6.0);
+        a.observe("h", 4.0);
+        a.incr("n", 4);
+        assert_eq!(a.counter("n"), 7);
+        assert_eq!(a.gauge_value("g"), Some(6.0));
+        assert_eq!(a.histogram("h").unwrap().count(), 2);
+        assert_eq!(a.names().collect::<Vec<_>>(), ["g", "h", "n"]);
+        assert_eq!(a.to_jsonl().lines().count(), 3);
     }
 }

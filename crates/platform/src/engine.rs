@@ -19,7 +19,7 @@ use crate::gateway::{Forward, Gateway};
 use crate::replay::Fold;
 use crate::report::RunReport;
 use crate::scale::{placement_journal_event, ClusterView, PlacementDecision, Placer};
-use cluster::{InstanceId, ServerState};
+use cluster::{ContentionState, InstanceId, ServerState};
 use faults::{FaultConfig, FaultInjector, FaultKind};
 use metricsd::MetricVector;
 use obs::journal::{CheckpointState, JournalEvent, PlacementKind};
@@ -290,6 +290,12 @@ pub struct Simulation {
     /// Streaming moment accumulators for the collect tick, reused across
     /// ticks: one `(sum, count)` slot per `(workload, node)`.
     collect_scratch: Vec<Vec<(MetricVector, u32)>>,
+    /// Contention state recomputed in place for one server at a time.
+    contention: ContentionState,
+    /// Per-server CPU and memory utilization of the collect tick, reused
+    /// across ticks.
+    collect_cpu: Vec<f64>,
+    collect_memory: Vec<f64>,
 }
 
 impl Simulation {
@@ -341,6 +347,9 @@ impl Simulation {
             next_checkpoint: SimTime::ZERO,
             events_processed: 0,
             collect_scratch: Vec::new(),
+            contention: ContentionState::default(),
+            collect_cpu: Vec::new(),
+            collect_memory: Vec::new(),
         }
     }
 
@@ -383,15 +392,20 @@ impl Simulation {
     /// apply the journal fold to the report, the fault log and the paired
     /// telemetry counters — the same fold replay runs over the journal.
     fn emit(&mut self, at: SimTime, ev: JournalEvent) {
+        self.emit_ref(at, &ev);
+    }
+
+    /// [`Simulation::emit`] for an event whose buffers the caller reuses.
+    fn emit_ref(&mut self, at: SimTime, ev: &JournalEvent) {
         if let Some(j) = self.obs.journal.as_mut() {
-            j.record(at.as_micros(), &ev);
+            j.record(at.as_micros(), ev);
         }
         Fold {
             report: &mut self.report,
             faults: self.obs.faults.as_mut(),
             telemetry: self.obs.telemetry.as_mut(),
         }
-        .apply(at.as_micros(), &ev)
+        .apply(at.as_micros(), ev)
         .expect("the engine emitted an event its own fold rejects");
     }
 
@@ -568,7 +582,7 @@ impl Simulation {
         }
         while let Some((now, ev)) = self.queue.pop_until(end) {
             self.events_processed += 1;
-            self.dispatch(now, ev, end);
+            self.dispatch(now, ev);
         }
         // A journaled run ends with its final telemetry snapshot, then the
         // run-end sentinel; `finish` flushes buffered bytes so the file is
@@ -589,12 +603,12 @@ impl Simulation {
         }
     }
 
-    fn dispatch(&mut self, now: SimTime, ev: Ev, end: SimTime) {
+    fn dispatch(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Arrival { wl } => self.on_arrival(now, wl),
             Ev::GatewayDone { fwd } => self.on_gateway_done(now, fwd),
             Ev::PhaseEnd { task } => self.on_phase_end(now, task),
-            Ev::Collect => self.on_collect(now, end),
+            Ev::Collect => self.on_collect(now),
             Ev::FaultTick => self.on_fault_tick(now),
             Ev::SlowdownEnd { server, token } => self.on_slowdown_end(now, server, token),
             Ev::ServerRecover { server } => self.on_server_recover(now, server),
@@ -912,20 +926,27 @@ impl Simulation {
     /// Recompute contention on a server and re-time every executing task's
     /// phase end: a pending `PhaseEnd` moves in place, and a task whose
     /// phase just began gets a new one.
+    ///
+    /// `server_tasks[server]` and the server's instances are pushed and
+    /// removed together, so the i-th task owns the i-th load.
     fn reschedule_server(&mut self, now: SimTime, server: usize) {
         if let Some(t) = self.obs.telemetry.as_mut() {
             t.incr("contention.recomputes", 1);
         }
-        let contention = self.servers[server].contention();
-        for &tid in &self.server_tasks[server] {
+        let state = &self.servers[server];
+        state.contention_into(&mut self.contention);
+        debug_assert_eq!(self.server_tasks[server].len(), state.len());
+        for (&tid, (load_id, load)) in self.server_tasks[server].iter().zip(state.iter()) {
             let t = &mut self.tasks[tid];
-            let d = &self.deployed[t.wl];
-            let socket = d.instances[t.node][t.inst].socket;
-            let ic = contention.instance(&current_phase(d, t).load(socket));
+            debug_assert_eq!(
+                t.load_id,
+                Some(load_id),
+                "task {tid} out of step with its load"
+            );
             // Injected interference spike: multiply by the transient
             // per-server factor. 1.0 outside an episode — and `x * 1.0` is
             // bitwise-exact, so fault-free runs are unperturbed.
-            t.slowdown = ic.slowdown * self.slow_mult[server];
+            t.slowdown = self.contention.instance(load).slowdown * self.slow_mult[server];
             let eta_us = (t.remaining_us * t.slowdown).ceil() as u64;
             let at = now.plus(SimTime(eta_us));
             match t.timer {
@@ -1198,17 +1219,17 @@ impl Simulation {
     // Collection & autoscaling
     // ------------------------------------------------------------------
 
-    fn on_collect(&mut self, now: SimTime, end: SimTime) {
-        // Cache contention and whole-server utilization per server.
-        let contentions: Vec<_> = self.servers.iter().map(|s| s.contention()).collect();
-        let cpu_utils: Vec<f64> = self.servers.iter().map(|s| s.cpu_utilization()).collect();
-        let mem_utils: Vec<f64> = self
-            .servers
-            .iter()
-            .map(|s| s.memory_utilization())
-            .collect();
+    fn on_collect(&mut self, now: SimTime) {
+        // Whole-server utilization per server, in buffers reused across
+        // ticks.
+        let mut cpu_utils = std::mem::take(&mut self.collect_cpu);
+        cpu_utils.clear();
+        cpu_utils.extend(self.servers.iter().map(|s| s.cpu_utilization()));
+        let mut mem_utils = std::mem::take(&mut self.collect_memory);
+        mem_utils.clear();
+        mem_utils.extend(self.servers.iter().map(|s| s.memory_utilization()));
 
-        self.synthesize_metrics(now, &contentions, &cpu_utils);
+        self.synthesize_metrics(now, &cpu_utils);
 
         // Utilization snapshot.
         let active_cores: f64 = self
@@ -1222,15 +1243,17 @@ impl Simulation {
         } else {
             0.0
         };
-        self.emit(
-            now,
-            JournalEvent::Utilization {
-                cpu: cpu_utils,
-                memory: mem_utils,
-                density,
-                instances: self.instance_count as u64,
-            },
-        );
+        let utilization = JournalEvent::Utilization {
+            cpu: cpu_utils,
+            memory: mem_utils,
+            density,
+            instances: self.instance_count as u64,
+        };
+        self.emit_ref(now, &utilization);
+        if let JournalEvent::Utilization { cpu, memory, .. } = utilization {
+            self.collect_cpu = cpu;
+            self.collect_memory = memory;
+        }
 
         if let Some(t) = self.obs.telemetry.as_mut() {
             let queued: usize = self
@@ -1258,10 +1281,12 @@ impl Simulation {
             }
         }
 
+        // The chain never lapses: `pop_until` leaves a tick past the
+        // horizon pending, so a resumed `run_until` picks it up. It is
+        // scheduled after the checkpoint, whose `pending_events` therefore
+        // does not count it.
         self.next_collect = now.plus(self.config.collect_interval);
-        if self.next_collect <= end {
-            self.queue.schedule(self.next_collect, Ev::Collect);
-        }
+        self.queue.schedule(self.next_collect, Ev::Collect);
     }
 
     /// Per-(workload, node) metric synthesis over executing tasks: one
@@ -1269,12 +1294,7 @@ impl Simulation {
     /// server-major, in task order within a server — the fold order of
     /// `MetricVector::mean_of` — so each mean is bit-identical to averaging
     /// a collected sample vector, without collecting one.
-    fn synthesize_metrics(
-        &mut self,
-        now: SimTime,
-        contentions: &[cluster::ContentionState],
-        cpu_utils: &[f64],
-    ) {
+    fn synthesize_metrics(&mut self, now: SimTime, cpu_utils: &[f64]) {
         let mut scratch = std::mem::take(&mut self.collect_scratch);
         scratch.resize_with(self.deployed.len(), Vec::new);
         for (row, d) in scratch.iter_mut().zip(&self.deployed) {
@@ -1282,16 +1302,20 @@ impl Simulation {
             row.resize(d.workload.graph.len(), (MetricVector::zero(), 0));
         }
         for (server, tids) in self.server_tasks.iter().enumerate() {
-            let base_freq = self.servers[server].spec().base_freq_ghz;
-            for &tid in tids {
+            if tids.is_empty() {
+                continue;
+            }
+            let state = &self.servers[server];
+            state.contention_into(&mut self.contention);
+            let base_freq = state.spec().base_freq_ghz;
+            // As in `reschedule_server`, the i-th task owns the i-th load.
+            for (&tid, (_, load)) in tids.iter().zip(state.iter()) {
                 let t = &self.tasks[tid];
-                let d = &self.deployed[t.wl];
-                let phase = current_phase(d, t);
-                let load = phase.load(d.instances[t.node][t.inst].socket);
-                let ic = contentions[server].instance(&load);
+                let phase = current_phase(&self.deployed[t.wl], t);
+                let ic = self.contention.instance(load);
                 let m = cluster::microarch::synthesize(
                     &phase.micro,
-                    &load,
+                    load,
                     &ic,
                     base_freq,
                     cpu_utils[server],
@@ -2160,6 +2184,36 @@ mod tests {
     }
 
     #[test]
+    fn split_run_matches_one_shot_run() {
+        // Resuming with a second `run_until` keeps the collect chain going:
+        // the split run samples metrics and utilization exactly as one
+        // uninterrupted run does.
+        let horizon = SimTime::from_secs(20.0);
+        let run = |stops: &[f64]| {
+            let mut sim = small_sim(5);
+            sim.set_obs(obs::Obs::telemetry_only());
+            let w = socialnetwork::message_posting();
+            let placement = place_all(&w, 0, 0);
+            sim.deploy(Deployment {
+                workload: w,
+                placement,
+                arrivals: ArrivalSpec::OpenLoop(uniform_arrivals(30.0, horizon)),
+            });
+            for &stop in stops {
+                sim.run_until(SimTime::from_secs(stop));
+            }
+            let telemetry = sim.take_obs().telemetry.expect("telemetry on");
+            (sim.into_report(), telemetry.to_jsonl())
+        };
+        let (one, one_jsonl) = run(&[20.0]);
+        let (split, split_jsonl) = run(&[10.0, 20.0]);
+        assert_eq!(one.utilization.len(), 20);
+        assert_eq!(split.utilization.len(), 20);
+        assert_eq!(split.render_json(), one.render_json());
+        assert_eq!(split_jsonl, one_jsonl);
+    }
+
+    #[test]
     fn deterministic_replay() {
         let run = || {
             let mut sim = Simulation::new(PlatformConfig::small(42));
@@ -2378,7 +2432,7 @@ mod tests {
                 phase_ends += 1;
             }
             dispatched += 1;
-            sim.dispatch(now, ev, horizon);
+            sim.dispatch(now, ev);
         }
         // Slots are reused, so the phases of freed tasks come from the
         // counter their slots fed when freed.
@@ -2389,7 +2443,9 @@ mod tests {
                 .sum::<usize>();
         assert_eq!(phase_ends, phases_run);
         assert!(sim.tasks.iter().all(|t| t.timer.is_none()));
-        assert!(sim.queue.is_empty());
+        // All that is left pending is the collect tick past the horizon.
+        assert_eq!(sim.queue.len(), 1);
+        assert!(sim.queue.peek_time() > Some(horizon));
 
         let mut plain = one_server_social_run();
         plain.run_until(horizon);
@@ -2430,7 +2486,7 @@ mod tests {
         sim.queue.schedule(sim.next_collect, Ev::Collect);
         while let Some((now, ev)) = sim.queue.pop_until(horizon) {
             let collect = matches!(ev, Ev::Collect);
-            sim.dispatch(now, ev, horizon);
+            sim.dispatch(now, ev);
             let executing: usize = sim.server_tasks.iter().map(Vec::len).sum();
             assert!(
                 sim.queue.len() <= executing + bound,

@@ -44,13 +44,13 @@ pub struct Fold<'a> {
     pub telemetry: Option<&'a mut Telemetry>,
 }
 
-fn incr(t: &mut Option<&mut Telemetry>, name: &str) {
+fn incr(t: &mut Option<&mut Telemetry>, name: &'static str) {
     if let Some(t) = t {
         t.incr(name, 1);
     }
 }
 
-fn observe(t: &mut Option<&mut Telemetry>, name: &str, value: f64) {
+fn observe(t: &mut Option<&mut Telemetry>, name: &'static str, value: f64) {
     if let Some(t) = t {
         t.observe(name, value);
     }
