@@ -31,6 +31,10 @@
 //!   plus a [`config::ResilienceConfig`] degradation policy (per-request
 //!   timeout, bounded exponential-backoff retries, gateway load shedding).
 //!   Both default to off, leaving fault-free runs bit-identical.
+//!
+//! [`engine`] holds the simulator's state and run loop; its private child
+//! modules hold one concern each: request execution, faults, autoscaling
+//! and collection.
 
 pub mod collector;
 pub mod config;
