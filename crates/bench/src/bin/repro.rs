@@ -68,7 +68,14 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--seed" => {
                 let s = it.next().ok_or("--seed requires a u64")?;
-                cli.opts.seed = Some(s.parse().map_err(|_| format!("bad seed {s}"))?);
+                let seed: u64 = s.parse().map_err(|_| format!("bad seed {s}"))?;
+                if seed > journal_runs::MAX_SEED {
+                    return Err(format!(
+                        "seed {s} is above 2^53: a journal header stores the seed \
+                         as a JSON number, which would round it"
+                    ));
+                }
+                cli.opts.seed = Some(seed);
             }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             id => cli.ids.push(id.to_string()),
@@ -381,6 +388,11 @@ mod tests {
             (&["fig4", "--json"], "--json requires a path"),
             (&["fig4", "--seed"], "--seed requires a u64"),
             (&["--seed", "notanumber"], "bad seed notanumber"),
+            (
+                &["--seed", "9007199254740993"],
+                "seed 9007199254740993 is above 2^53: a journal header stores \
+                 the seed as a JSON number, which would round it",
+            ),
         ] {
             assert_eq!(parse(args).err().as_deref(), Some(want), "{args:?}");
         }

@@ -176,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_chaos_point_matches_serial_artifacts() {
+    fn chaos_point_matches_stale_entry_artifacts() {
         // The bench's chaos point against the engine that queued a fresh
         // PhaseEnd per re-time and skipped the superseded one on pop: its
         // report, telemetry, fault log and journal digested to the value
@@ -206,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_chaos_point_reports_barrier_activity() {
+    fn chaos_point_reports_live_events_and_rates() {
         // A measured point reports one run's live event count and
         // completions, and rates derived from its fastest wall time. The
         // stale-entry engine dispatched 133387 events on this point.

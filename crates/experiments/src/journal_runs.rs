@@ -28,6 +28,10 @@ use obs::journal::{
 use obs::json::Json;
 use obs::Obs;
 
+/// The largest seed a journal header holds exactly: header numbers are
+/// JSON numbers (`f64`), which hold every integer only up to 2^53.
+pub const MAX_SEED: u64 = 1 << 53;
+
 /// Checkpoint cadence for journal-enabled experiment runs: one checkpoint
 /// record per 10 simulated seconds (rides the 1 Hz collect tick).
 pub const CHECKPOINT_EVERY_US: u64 = 10_000_000;
@@ -206,7 +210,13 @@ pub fn rerun_from_header(header: &Json) -> Result<(Vec<u8>, Artifacts), String> 
         crash_per_min: header_f64(header, "crash_per_min")?,
         slowdown_per_min: header_f64(header, "slowdown_per_min")?,
     };
-    let seed = header_f64(header, "seed")? as u64;
+    let seed = header_f64(header, "seed")?;
+    if seed.fract() != 0.0 || !(0.0..=MAX_SEED as f64).contains(&seed) {
+        return Err(format!(
+            "journal header seed {seed} is not an integer in 0..=2^53"
+        ));
+    }
+    let seed = seed as u64;
     let quick = header_bool(header, "quick")?;
     let run = journaled_chaos_run(point, seed, quick, 1);
     Ok((run.bytes, run.artifacts))
@@ -428,21 +438,16 @@ pub struct OutputDigest {
 
 /// Digest a journaled run's `artifacts` and journal `bytes`.
 pub fn output_digest(artifacts: &Artifacts, bytes: &[u8]) -> Result<OutputDigest, String> {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    fn fnv(fp: &mut u64, bytes: &[u8]) {
-        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
-            *fp = (*fp ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
+    use simcore::fnv::{mix_bytes, OFFSET};
     let mut journal = OFFSET;
     for r in read_journal(bytes)?.records {
         let mut event = r.event;
         if let obs::journal::JournalEvent::Checkpoint(c) = &mut event {
             c.pending_events = 0;
         }
-        fnv(&mut journal, &r.seq.to_le_bytes());
-        fnv(&mut journal, &r.at_us.to_le_bytes());
-        fnv(&mut journal, &event.encode());
+        mix_bytes(&mut journal, &r.seq.to_le_bytes());
+        mix_bytes(&mut journal, &r.at_us.to_le_bytes());
+        mix_bytes(&mut journal, &event.encode());
     }
     let parts = [
         artifacts.report_json.as_str(),
@@ -453,10 +458,10 @@ pub fn output_digest(artifacts: &Artifacts, bytes: &[u8]) -> Result<OutputDigest
     let mut each = [OFFSET; 4];
     let mut combined = OFFSET;
     for (fp, part) in each.iter_mut().zip(parts) {
-        fnv(fp, part.as_bytes());
-        fnv(&mut combined, part.as_bytes());
+        mix_bytes(fp, part.as_bytes());
+        mix_bytes(&mut combined, part.as_bytes());
     }
-    fnv(&mut combined, &journal.to_le_bytes());
+    mix_bytes(&mut combined, &journal.to_le_bytes());
     Ok(OutputDigest {
         report: each[0],
         telemetry: each[1],
@@ -474,6 +479,20 @@ mod tests {
     fn journaled_run(point: SweepPoint, seed: u64) -> (Vec<u8>, Artifacts) {
         let run = journaled_chaos_run(point, seed, true, 1);
         (run.bytes, run.artifacts)
+    }
+
+    #[test]
+    fn rerun_refuses_inexact_header_seeds() {
+        for seed in [1.5, -1.0, (MAX_SEED + 2) as f64] {
+            let header = Json::obj()
+                .field("experiment", "fault_sweep")
+                .field("crash_per_min", 0.0)
+                .field("slowdown_per_min", 0.0)
+                .field("seed", seed)
+                .field("quick", true);
+            let err = rerun_from_header(&header).unwrap_err();
+            assert!(err.contains("not an integer in 0..=2^53"), "{seed}: {err}");
+        }
     }
 
     #[test]

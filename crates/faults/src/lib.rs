@@ -216,10 +216,10 @@ impl FaultInjector {
     /// it so a resumed run can verify the injector walked through the same
     /// draw sequence as the original.
     pub fn state_fingerprint(&self) -> u64 {
-        let mut fp = 0xcbf2_9ce4_8422_2325u64;
+        let mut fp = simcore::fnv::OFFSET;
         for rng in [&self.schedule_rng, &self.draw_rng, &self.gateway_rng] {
             for w in rng.state() {
-                fp = (fp ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+                simcore::fnv::mix_word(&mut fp, w);
             }
         }
         fp
@@ -381,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_lanes_replay_deterministically() {
+    fn rng_lanes_replay_deterministically() {
         // The injector's three lanes (schedule, kind/target, gateway) each
         // replay the same sequence however the engine interleaves its
         // calls, and end at the same fingerprint.
@@ -413,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_lanes_are_independent_and_order_sensitive() {
+    fn rng_lanes_are_independent_and_order_sensitive() {
         // Gateway draws (one per forwarded request) never move the fault
         // schedule or the kind/target picks, so request volume cannot shift
         // when or where faults land.

@@ -23,6 +23,13 @@
 //!         u32 crc32       IEEE CRC-32 over seq ‖ at_us ‖ payload
 //! ```
 //!
+//! A payload is the event's tag byte, then its fields in order. One table
+//! states that layout, one row per event kind (`6 => TaskDone { wl, node,
+//! req, local_ms }`), and both [`JournalEvent::encode_into`] and
+//! [`JournalEvent::decode`] are generated from it; each field type has one
+//! private `Wire` impl that writes and reads it. A new event kind is its
+//! variant plus one row.
+//!
 //! Floats are stored as raw `f64` bits, so replayed artifacts are
 //! byte-identical to the live run's, not merely approximately equal. The
 //! ordering rules the format promises (append-only sequence numbers,
@@ -84,12 +91,10 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// Fold more bytes into a running CRC state (start from `!0`, finish by
-/// inverting) — lets the framing checksum cover header fields and payload
-/// without concatenating them. Slice-by-8 on the bulk, byte-at-a-time on
+/// IEEE CRC-32 of one buffer: slice-by-8 on the bulk, byte-at-a-time on
 /// the ragged tail.
-fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    let mut c = state;
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = !0u32;
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
         let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
@@ -105,104 +110,153 @@ fn crc32_update(state: u32, data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c
-}
-
-/// IEEE CRC-32 of one buffer.
-pub fn crc32(data: &[u8]) -> u32 {
-    !crc32_update(!0, data)
+    !c
 }
 
 // ---- event payload encoding ----------------------------------------------
 
-struct Enc<'a>(&'a mut Vec<u8>);
-
-impl Enc<'_> {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        // Raw bits: replay must reproduce the live value exactly.
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-    fn f64s(&mut self, v: &[f64]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.f64(x);
-        }
-    }
-}
-
-struct Dec<'a> {
+/// Cursor over one payload; every read is bounds-checked.
+struct Reader<'a> {
     b: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Dec<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Self { b, pos: 0 }
+impl<'a> Reader<'a> {
+    fn left(&self) -> usize {
+        self.b.len() - self.pos
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.pos + n > self.b.len() {
             return Err(format!(
                 "payload truncated: need {n} bytes at offset {}, have {}",
                 self.pos,
-                self.b.len() - self.pos
+                self.left()
             ));
         }
         let s = &self.b[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn str(&mut self) -> Result<&'a str, String> {
-        let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?).map_err(|e| e.to_string())
-    }
-    fn f64s(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.u32()? as usize;
-        // Bound by remaining bytes so a corrupt length cannot OOM.
-        if n * 8 > self.b.len() - self.pos {
-            return Err(format!("f64 array length {n} exceeds payload"));
-        }
-        (0..n).map(|_| self.f64()).collect()
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        Ok(self.take(N)?.try_into().unwrap())
     }
     fn done(&self) -> Result<(), String> {
-        if self.pos == self.b.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing payload bytes",
-                self.b.len() - self.pos
-            ))
+        match self.left() {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing payload bytes")),
         }
+    }
+}
+
+/// One field type's wire form: `put` appends it, `get` reads it back.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, String>;
+}
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+
+wire_le!(u8, u32, u64, i64);
+
+/// Raw bits: replay must reproduce the live value exactly.
+impl Wire for f64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.to_bits().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        u64::get(r).map(f64::from_bits)
+    }
+}
+
+fn put_str(s: &str, buf: &mut Vec<u8>) {
+    (s.len() as u32).put(buf);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn get_str<'a>(r: &mut Reader<'a>) -> Result<&'a str, String> {
+    let n = u32::get(r)? as usize;
+    std::str::from_utf8(r.take(n)?).map_err(|e| e.to_string())
+}
+
+impl Wire for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_str(self, buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        get_str(r).map(str::to_string)
+    }
+}
+
+/// The fault kind: decoding accepts only the labels
+/// [`crate::faultlog::intern_kind`] knows.
+impl Wire for &'static str {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_str(self, buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let kind = get_str(r)?;
+        crate::faultlog::intern_kind(kind).ok_or_else(|| format!("unknown fault kind {kind:?}"))
+    }
+}
+
+impl Wire for Vec<f64> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for x in self {
+            x.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let n = u32::get(r)? as usize;
+        // Bound by remaining bytes so a corrupt length cannot OOM.
+        if n * 8 > r.left() {
+            return Err(format!("f64 array length {n} exceeds payload"));
+        }
+        (0..n).map(|_| f64::get(r)).collect()
+    }
+}
+
+impl Wire for [u64; 4] {
+    fn put(&self, buf: &mut Vec<u8>) {
+        for w in self {
+            w.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let mut words = [0u64; 4];
+        for w in &mut words {
+            *w = u64::get(r)?;
+        }
+        Ok(words)
+    }
+}
+
+/// The discriminant, one byte.
+impl Wire for PlacementKind {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u8).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        let v = u8::get(r)?;
+        [
+            PlacementKind::Initial,
+            PlacementKind::ScaleOut,
+            PlacementKind::Rewarm,
+        ]
+        .into_iter()
+        .find(|k| *k as u8 == v)
+        .ok_or_else(|| format!("unknown placement kind {v}"))
     }
 }
 
@@ -217,17 +271,6 @@ pub enum PlacementKind {
     ScaleOut = 1,
     /// Crash-recovery re-warm on a surviving server.
     Rewarm = 2,
-}
-
-impl PlacementKind {
-    fn from_u8(v: u8) -> Result<Self, String> {
-        match v {
-            0 => Ok(PlacementKind::Initial),
-            1 => Ok(PlacementKind::ScaleOut),
-            2 => Ok(PlacementKind::Rewarm),
-            _ => Err(format!("unknown placement kind {v}")),
-        }
-    }
 }
 
 /// Engine state summary written at checkpoint records. Enough to *verify*
@@ -262,6 +305,37 @@ pub struct CheckpointState {
     /// Requests settled (completed, shed or failed) so far.
     pub requests_settled: u64,
 }
+
+/// The fields on the wire in the order listed: every field, so a field
+/// added to the struct without a place here does not compile.
+macro_rules! wire_struct {
+    ($ty:ident { $($f:ident),* $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let $ty { $($f),* } = self;
+                $($f.put(buf);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+                Ok($ty { $($f: Wire::get(r)?),* })
+            }
+        }
+    };
+}
+
+wire_struct!(CheckpointState {
+    at_us,
+    sim_rng,
+    retry_rng,
+    fault_fingerprint,
+    pending_events,
+    gateway_depth,
+    instances_total,
+    instances_alive,
+    instance_table_fp,
+    tasks_created,
+    requests_created,
+    requests_settled,
+});
 
 /// One journaled simulation event.
 ///
@@ -330,22 +404,71 @@ pub enum JournalEvent {
     RunEnd { horizon_us: u64 },
 }
 
-const TAG_DEPLOY: u8 = 0;
-const TAG_PLACEMENT: u8 = 1;
-const TAG_ARRIVAL: u8 = 2;
-const TAG_SHED: u8 = 3;
-const TAG_GATEWAY_FORWARD: u8 = 4;
-const TAG_COLD_START: u8 = 5;
-const TAG_TASK_DONE: u8 = 6;
-const TAG_COMPLETED: u8 = 7;
-const TAG_RETRY: u8 = 8;
-const TAG_FAILED: u8 = 9;
-const TAG_METRIC_SAMPLE: u8 = 10;
-const TAG_UTILIZATION: u8 = 11;
-const TAG_FAULT: u8 = 12;
-const TAG_TELEMETRY_SNAPSHOT: u8 = 13;
-const TAG_CHECKPOINT: u8 = 14;
-const TAG_RUN_END: u8 = 15;
+/// Generates [`JournalEvent::encode_into`] and [`JournalEvent::decode`]
+/// from the payload table below. A row names the tag byte, the variant and
+/// its fields in wire order; each field goes through its type's [`Wire`].
+/// The compiler checks the table: a row must name every field of its
+/// variant, a variant without a row leaves `encode_into`'s match
+/// non-exhaustive, and a reused tag is an unreachable pattern in `decode`.
+macro_rules! payload_table {
+    (@pat $v:ident { $($f:ident),* }) => { JournalEvent::$v { $($f),* } };
+    (@pat $v:ident ( $($f:ident),* )) => { JournalEvent::$v ( $($f),* ) };
+    (@put $buf:ident { $($f:ident),* }) => { $($f.put($buf);)* };
+    (@put $buf:ident ( $($f:ident),* )) => { $($f.put($buf);)* };
+    (@get $r:ident $v:ident { $($f:ident),* }) => {
+        JournalEvent::$v { $($f: Wire::get(&mut $r)?),* }
+    };
+    (@get $r:ident $v:ident ( $($f:ident),* )) => {
+        JournalEvent::$v ( $({ let $f = Wire::get(&mut $r)?; $f }),* )
+    };
+    ($($tag:literal => $v:ident $fields:tt,)*) => {
+        impl JournalEvent {
+            /// Append the binary payload to `buf` — the framing hot path
+            /// encodes into one reused buffer instead of allocating per
+            /// record.
+            pub fn encode_into(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(payload_table!(@pat $v $fields) => {
+                        u8::put(&$tag, buf);
+                        payload_table!(@put buf $fields);
+                    })*
+                }
+            }
+
+            /// Decode a payload produced by [`JournalEvent::encode`].
+            /// Rejects unknown tags, truncated fields and trailing bytes.
+            pub fn decode(payload: &[u8]) -> Result<JournalEvent, String> {
+                let mut r = Reader { b: payload, pos: 0 };
+                let event = match u8::get(&mut r)? {
+                    $($tag => payload_table!(@get r $v $fields),)*
+                    tag => return Err(format!("unknown event tag {tag}")),
+                };
+                r.done()?;
+                Ok(event)
+            }
+        }
+    };
+}
+
+// The payload layout: tag => variant and its fields in wire order.
+payload_table! {
+    0 => Deploy { wl, nodes, name },
+    1 => Placement { kind, wl, node, server, socket },
+    2 => Arrival { wl, req },
+    3 => Shed { wl, req },
+    4 => GatewayForward { req, ms },
+    5 => ColdStart { wl, node, req },
+    6 => TaskDone { wl, node, req, local_ms },
+    7 => Completed { wl, req, e2e_ms },
+    8 => Retry { wl, req, delay_ms },
+    9 => Failed { wl, req, attempts },
+    10 => MetricSample { wl, node, values },
+    11 => Utilization { cpu, memory, density, instances },
+    12 => Fault { kind, target, value },
+    13 => TelemetrySnapshot { jsonl },
+    14 => Checkpoint(state),
+    15 => RunEnd { horizon_us },
+}
 
 impl JournalEvent {
     /// Binary payload (tag byte first).
@@ -353,252 +476,6 @@ impl JournalEvent {
         let mut buf = Vec::with_capacity(32);
         self.encode_into(&mut buf);
         buf
-    }
-
-    /// Append the binary payload to `buf` — the framing hot path encodes
-    /// into one reused buffer instead of allocating per record.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let mut e = Enc(buf);
-        match self {
-            JournalEvent::Deploy { wl, nodes, name } => {
-                e.u8(TAG_DEPLOY);
-                e.u32(*wl);
-                e.u32(*nodes);
-                e.str(name);
-            }
-            JournalEvent::Placement {
-                kind,
-                wl,
-                node,
-                server,
-                socket,
-            } => {
-                e.u8(TAG_PLACEMENT);
-                e.u8(*kind as u8);
-                e.u32(*wl);
-                e.u32(*node);
-                e.u32(*server);
-                e.u32(*socket);
-            }
-            JournalEvent::Arrival { wl, req } => {
-                e.u8(TAG_ARRIVAL);
-                e.u32(*wl);
-                e.u64(*req);
-            }
-            JournalEvent::Shed { wl, req } => {
-                e.u8(TAG_SHED);
-                e.u32(*wl);
-                e.u64(*req);
-            }
-            JournalEvent::GatewayForward { req, ms } => {
-                e.u8(TAG_GATEWAY_FORWARD);
-                e.u64(*req);
-                e.f64(*ms);
-            }
-            JournalEvent::ColdStart { wl, node, req } => {
-                e.u8(TAG_COLD_START);
-                e.u32(*wl);
-                e.u32(*node);
-                e.u64(*req);
-            }
-            JournalEvent::TaskDone {
-                wl,
-                node,
-                req,
-                local_ms,
-            } => {
-                e.u8(TAG_TASK_DONE);
-                e.u32(*wl);
-                e.u32(*node);
-                e.u64(*req);
-                e.f64(*local_ms);
-            }
-            JournalEvent::Completed { wl, req, e2e_ms } => {
-                e.u8(TAG_COMPLETED);
-                e.u32(*wl);
-                e.u64(*req);
-                e.f64(*e2e_ms);
-            }
-            JournalEvent::Retry { wl, req, delay_ms } => {
-                e.u8(TAG_RETRY);
-                e.u32(*wl);
-                e.u64(*req);
-                e.f64(*delay_ms);
-            }
-            JournalEvent::Failed { wl, req, attempts } => {
-                e.u8(TAG_FAILED);
-                e.u32(*wl);
-                e.u64(*req);
-                e.u32(*attempts);
-            }
-            JournalEvent::MetricSample { wl, node, values } => {
-                e.u8(TAG_METRIC_SAMPLE);
-                e.u32(*wl);
-                e.u32(*node);
-                e.f64s(values);
-            }
-            JournalEvent::Utilization {
-                cpu,
-                memory,
-                density,
-                instances,
-            } => {
-                e.u8(TAG_UTILIZATION);
-                e.f64s(cpu);
-                e.f64s(memory);
-                e.f64(*density);
-                e.u64(*instances);
-            }
-            JournalEvent::Fault {
-                kind,
-                target,
-                value,
-            } => {
-                e.u8(TAG_FAULT);
-                e.str(kind);
-                e.i64(*target);
-                e.f64(*value);
-            }
-            JournalEvent::TelemetrySnapshot { jsonl } => {
-                e.u8(TAG_TELEMETRY_SNAPSHOT);
-                e.str(jsonl);
-            }
-            JournalEvent::Checkpoint(c) => {
-                e.u8(TAG_CHECKPOINT);
-                e.u64(c.at_us);
-                for w in c.sim_rng {
-                    e.u64(w);
-                }
-                for w in c.retry_rng {
-                    e.u64(w);
-                }
-                e.u64(c.fault_fingerprint);
-                e.u64(c.pending_events);
-                e.u64(c.gateway_depth);
-                e.u64(c.instances_total);
-                e.u64(c.instances_alive);
-                e.u64(c.instance_table_fp);
-                e.u64(c.tasks_created);
-                e.u64(c.requests_created);
-                e.u64(c.requests_settled);
-            }
-            JournalEvent::RunEnd { horizon_us } => {
-                e.u8(TAG_RUN_END);
-                e.u64(*horizon_us);
-            }
-        }
-    }
-
-    /// Decode a payload produced by [`JournalEvent::encode`]. Rejects
-    /// unknown tags, truncated fields and trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<JournalEvent, String> {
-        let mut d = Dec::new(payload);
-        let event = match d.u8()? {
-            TAG_DEPLOY => JournalEvent::Deploy {
-                wl: d.u32()?,
-                nodes: d.u32()?,
-                name: d.str()?.to_string(),
-            },
-            TAG_PLACEMENT => JournalEvent::Placement {
-                kind: PlacementKind::from_u8(d.u8()?)?,
-                wl: d.u32()?,
-                node: d.u32()?,
-                server: d.u32()?,
-                socket: d.u32()?,
-            },
-            TAG_ARRIVAL => JournalEvent::Arrival {
-                wl: d.u32()?,
-                req: d.u64()?,
-            },
-            TAG_SHED => JournalEvent::Shed {
-                wl: d.u32()?,
-                req: d.u64()?,
-            },
-            TAG_GATEWAY_FORWARD => JournalEvent::GatewayForward {
-                req: d.u64()?,
-                ms: d.f64()?,
-            },
-            TAG_COLD_START => JournalEvent::ColdStart {
-                wl: d.u32()?,
-                node: d.u32()?,
-                req: d.u64()?,
-            },
-            TAG_TASK_DONE => JournalEvent::TaskDone {
-                wl: d.u32()?,
-                node: d.u32()?,
-                req: d.u64()?,
-                local_ms: d.f64()?,
-            },
-            TAG_COMPLETED => JournalEvent::Completed {
-                wl: d.u32()?,
-                req: d.u64()?,
-                e2e_ms: d.f64()?,
-            },
-            TAG_RETRY => JournalEvent::Retry {
-                wl: d.u32()?,
-                req: d.u64()?,
-                delay_ms: d.f64()?,
-            },
-            TAG_FAILED => JournalEvent::Failed {
-                wl: d.u32()?,
-                req: d.u64()?,
-                attempts: d.u32()?,
-            },
-            TAG_METRIC_SAMPLE => JournalEvent::MetricSample {
-                wl: d.u32()?,
-                node: d.u32()?,
-                values: d.f64s()?,
-            },
-            TAG_UTILIZATION => JournalEvent::Utilization {
-                cpu: d.f64s()?,
-                memory: d.f64s()?,
-                density: d.f64()?,
-                instances: d.u64()?,
-            },
-            TAG_FAULT => JournalEvent::Fault {
-                kind: {
-                    let kind = d.str()?;
-                    crate::faultlog::intern_kind(kind)
-                        .ok_or_else(|| format!("unknown fault kind {kind:?}"))?
-                },
-                target: d.i64()?,
-                value: d.f64()?,
-            },
-            TAG_TELEMETRY_SNAPSHOT => JournalEvent::TelemetrySnapshot {
-                jsonl: d.str()?.to_string(),
-            },
-            TAG_CHECKPOINT => {
-                let at_us = d.u64()?;
-                let mut sim_rng = [0u64; 4];
-                for w in &mut sim_rng {
-                    *w = d.u64()?;
-                }
-                let mut retry_rng = [0u64; 4];
-                for w in &mut retry_rng {
-                    *w = d.u64()?;
-                }
-                JournalEvent::Checkpoint(CheckpointState {
-                    at_us,
-                    sim_rng,
-                    retry_rng,
-                    fault_fingerprint: d.u64()?,
-                    pending_events: d.u64()?,
-                    gateway_depth: d.u64()?,
-                    instances_total: d.u64()?,
-                    instances_alive: d.u64()?,
-                    instance_table_fp: d.u64()?,
-                    tasks_created: d.u64()?,
-                    requests_created: d.u64()?,
-                    requests_settled: d.u64()?,
-                })
-            }
-            TAG_RUN_END => JournalEvent::RunEnd {
-                horizon_us: d.u64()?,
-            },
-            tag => return Err(format!("unknown event tag {tag}")),
-        };
-        d.done()?;
-        Ok(event)
     }
 }
 
@@ -685,7 +562,7 @@ impl<W: Write + 'static> JournalSink for JournalWriter<W> {
         event.encode_into(&mut self.frame);
         let payload_len = (self.frame.len() - 20) as u32;
         self.frame[..4].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = !crc32_update(!0, &self.frame[4..]);
+        let crc = crc32(&self.frame[4..]);
         self.frame.extend_from_slice(&crc.to_le_bytes());
         self.w.write_all(&self.frame).expect("journal write failed");
         self.seq += 1;
@@ -815,11 +692,8 @@ fn read_inner(bytes: &[u8], tolerant: bool) -> Result<ParsedJournal, String> {
                     .try_into()
                     .unwrap(),
             );
-            let mut crc = !0u32;
-            crc = crc32_update(crc, &bytes[pos + 4..pos + 12]);
-            crc = crc32_update(crc, &bytes[pos + 12..pos + 20]);
-            crc = crc32_update(crc, payload);
-            if !crc != stored_crc {
+            // seq ‖ at ‖ payload are contiguous: one pass, as the writer does.
+            if crc32(&bytes[pos + 4..body + payload_len]) != stored_crc {
                 return fail(format!("CRC mismatch at record seq {seq}"));
             }
             if seq != expect_seq {
@@ -1183,15 +1057,43 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    #[test]
-    fn events_roundtrip() {
-        for (_, ev) in sample_events() {
-            let payload = ev.encode();
-            assert_eq!(JournalEvent::decode(&payload).unwrap(), ev);
-        }
-        // Variants not in the sample.
-        for ev in [
+    /// One event of every kind, in tag order.
+    fn every_variant() -> Vec<JournalEvent> {
+        vec![
+            JournalEvent::Deploy {
+                wl: 0,
+                nodes: 2,
+                name: "social-network".into(),
+            },
+            JournalEvent::Placement {
+                kind: PlacementKind::Rewarm,
+                wl: 1,
+                node: 2,
+                server: 3,
+                socket: 1,
+            },
+            JournalEvent::Arrival {
+                wl: 0,
+                req: 0x0102_0304_0506_0708,
+            },
             JournalEvent::Shed { wl: 1, req: 9 },
+            JournalEvent::GatewayForward { req: 0, ms: 0.05 },
+            JournalEvent::ColdStart {
+                wl: 0,
+                node: 1,
+                req: 2,
+            },
+            JournalEvent::TaskDone {
+                wl: 0,
+                node: 1,
+                req: 2,
+                local_ms: 0.8,
+            },
+            JournalEvent::Completed {
+                wl: 0,
+                req: 2,
+                e2e_ms: 0.9,
+            },
             JournalEvent::Retry {
                 wl: 0,
                 req: 3,
@@ -1213,11 +1115,71 @@ mod tests {
                 density: 3.5,
                 instances: 7,
             },
+            JournalEvent::Fault {
+                kind: "server_crash",
+                target: -1,
+                value: 2.5,
+            },
             JournalEvent::TelemetrySnapshot {
                 jsonl: "{\"name\":\"a\"}\n".into(),
             },
-        ] {
-            assert_eq!(JournalEvent::decode(&ev.encode()).unwrap(), ev);
+            JournalEvent::Checkpoint(CheckpointState {
+                at_us: 2_000_000,
+                sim_rng: [1, 2, 3, 4],
+                retry_rng: [5, 6, 7, 8],
+                fault_fingerprint: 9,
+                pending_events: 10,
+                gateway_depth: 0,
+                instances_total: 12,
+                instances_alive: 11,
+                instance_table_fp: 0xABCD,
+                tasks_created: 40,
+                requests_created: 20,
+                requests_settled: 19,
+            }),
+            JournalEvent::RunEnd {
+                horizon_us: 3_000_000,
+            },
+        ]
+    }
+
+    /// `every_variant()`'s payloads as the hand-written codec that preceded
+    /// the payload table encoded them.
+    const PAYLOAD_PINS: [&str; 16] = [
+        "0000000000020000000e000000736f6369616c2d6e6574776f726b",
+        "010201000000020000000300000001000000",
+        "02000000000807060504030201",
+        "03010000000900000000000000",
+        "0400000000000000009a9999999999a93f",
+        "0500000000010000000200000000000000",
+        "06000000000100000002000000000000009a9999999999e93f",
+        "07000000000200000000000000cdccccccccccec3f",
+        "080000000003000000000000000000000000306940",
+        "0900000000030000000000000004000000",
+        "0a000000000100000003000000000000000000f83f0000000000000080ffffffffffffef7f",
+        "0b02000000000000000000e03f000000000000d03f010000009a9999999999b93f0000000000000c400700000000000000",
+        "0c0c0000007365727665725f6372617368ffffffffffffffff0000000000000440",
+        "0d0d0000007b226e616d65223a2261227d0a",
+        "0e80841e00000000000100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a0000000000000000000000000000000c000000000000000b00000000000000cdab000000000000280000000000000014000000000000001300000000000000",
+        "0fc0c62d0000000000",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn events_roundtrip() {
+        for (_, ev) in sample_events() {
+            let payload = ev.encode();
+            assert_eq!(JournalEvent::decode(&payload).unwrap(), ev);
+        }
+        // Every kind's bytes are pinned: its tag, then its fields in order.
+        for (tag, (ev, pin)) in every_variant().into_iter().zip(PAYLOAD_PINS).enumerate() {
+            let payload = ev.encode();
+            assert_eq!(payload[0] as usize, tag, "{ev:?}");
+            assert_eq!(hex(&payload), pin, "{ev:?}");
+            assert_eq!(JournalEvent::decode(&payload).unwrap(), ev);
         }
     }
 
@@ -1226,12 +1188,29 @@ mod tests {
         assert!(JournalEvent::decode(&[]).is_err());
         assert!(JournalEvent::decode(&[99]).is_err(), "unknown tag");
         assert!(
-            JournalEvent::decode(&[TAG_ARRIVAL, 1, 2]).is_err(),
+            JournalEvent::decode(&[2, 1, 2]).is_err(),
             "truncated fields"
         );
-        let mut ok = JournalEvent::Arrival { wl: 0, req: 1 }.encode();
-        ok.push(0);
-        assert!(JournalEvent::decode(&ok).is_err(), "trailing bytes");
+        for ev in every_variant() {
+            let mut payload = ev.encode();
+            for cut in 0..payload.len() {
+                assert!(
+                    JournalEvent::decode(&payload[..cut]).is_err(),
+                    "{ev:?} cut to {cut} bytes"
+                );
+            }
+            payload.push(0);
+            let err = JournalEvent::decode(&payload).unwrap_err();
+            assert!(err.contains("trailing"), "{ev:?}: {err}");
+        }
+        let mut placement = every_variant()[1].encode();
+        placement[1] = 3;
+        let err = JournalEvent::decode(&placement).unwrap_err();
+        assert_eq!(err, "unknown placement kind 3");
+        let mut fault = every_variant()[12].encode();
+        fault[16] = b'x'; // tag, u32 length, then "server_crash"
+        let err = JournalEvent::decode(&fault).unwrap_err();
+        assert_eq!(err, "unknown fault kind \"server_crasx\"");
     }
 
     #[test]
@@ -1545,7 +1524,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_checkpoints_consistent_partition_passes() {
+    fn checkpoint_counts_consistent_with_the_journal_pass() {
         let records = checkpointed(|_| {});
         assert_eq!(check_invariants(&records), Vec::<String>::new());
         assert_eq!(checkpoint_violations(&records), Vec::<String>::new());
@@ -1560,7 +1539,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_checkpoints_catch_bad_partition_and_pending_mismatch() {
+    fn checkpoint_counts_catch_miscounted_requests_and_instances() {
         // A checkpoint that counts a request the journal never saw arrive.
         let v = checkpoint_violations(&checkpointed(|c| c.requests_created = 4));
         assert!(v.iter().any(|m| m.contains("requests created")), "{v:?}");

@@ -202,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_disabled() {
+    fn tracing_off_records_nothing() {
         // Tracing off is the absent sink: a producer gated on it records
         // nothing and there is nothing to export.
         let mut obs = crate::Obs::off();

@@ -632,7 +632,6 @@ impl Simulation {
 
 #[cfg(test)]
 mod tests {
-    use super::collect::{fnv_mix, FNV_OFFSET};
     use super::*;
     use crate::scale::ClusterView;
     use obs::json::Json;
@@ -1133,14 +1132,8 @@ mod tests {
         let mut sim = one_server_social_run();
         sim.run_until(SimTime::from_secs(30.0));
         let json = sim.into_report().render_json();
-        let mut fp = FNV_OFFSET;
-        for b in (json.len() as u64)
-            .to_le_bytes()
-            .iter()
-            .chain(json.as_bytes())
-        {
-            fnv_mix(&mut fp, *b as u64);
-        }
+        let mut fp = simcore::fnv::OFFSET;
+        simcore::fnv::mix_bytes(&mut fp, json.as_bytes());
         assert_eq!(fp, STALE_ENTRY_REPORT, "report digest {fp:#018x}");
     }
 

@@ -4,15 +4,9 @@
 use super::{current_phase, Ev, Simulation};
 use metricsd::MetricVector;
 use obs::journal::{CheckpointState, JournalEvent};
+use simcore::fnv;
 use simcore::rng::seed_stream;
 use simcore::{SimRng, SimTime};
-
-pub(super) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-pub(super) fn fnv_mix(fp: &mut u64, w: u64) {
-    *fp = (*fp ^ w).wrapping_mul(FNV_PRIME);
-}
 
 /// The collect tick's state: per-server synthesis streams, the checkpoint
 /// cadence, and buffers reused across ticks.
@@ -189,25 +183,25 @@ impl Simulation {
     /// stream words, counters); bulky structures (the instance table) are
     /// fingerprinted so resume verification can still detect divergence.
     fn checkpoint_state(&self, now: SimTime) -> CheckpointState {
-        let mut fp = FNV_OFFSET;
+        let mut fp = fnv::OFFSET;
         let mut total = 0u64;
         let mut alive = 0u64;
         for (wl, node, _, inst) in self.instance_rows() {
             total += 1;
             alive += inst.alive as u64;
-            fnv_mix(&mut fp, wl as u64);
-            fnv_mix(&mut fp, node as u64);
-            fnv_mix(&mut fp, inst.server as u64);
-            fnv_mix(&mut fp, inst.socket as u64);
-            fnv_mix(&mut fp, inst.alive as u64);
+            fnv::mix_word(&mut fp, wl as u64);
+            fnv::mix_word(&mut fp, node as u64);
+            fnv::mix_word(&mut fp, inst.server as u64);
+            fnv::mix_word(&mut fp, inst.socket as u64);
+            fnv::mix_word(&mut fp, inst.alive as u64);
         }
         // Word-wise FNV fold over every per-server synthesis stream, in
         // server order: the four words play the role a single stream's
         // state words would.
-        let mut rng_words = [FNV_OFFSET; 4];
+        let mut rng_words = [fnv::OFFSET; 4];
         for rng in &self.collect.synth_rngs {
             for (word, w) in rng_words.iter_mut().zip(rng.state()) {
-                fnv_mix(word, w);
+                fnv::mix_word(word, w);
             }
         }
         CheckpointState {

@@ -329,7 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pop_order_matches_serial_queue() {
+    fn handle_pop_order_matches_stale_skipping_queue() {
         // Events spread over many handles, re-timed and cancelled through
         // them, pop exactly as the stale-skipping serial queue pops when
         // every re-time is a fresh schedule: the shared sequence counter is
@@ -362,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_events_wait_for_the_window_close() {
+    fn event_retimed_past_the_horizon_waits_for_the_next_window() {
         // An event re-timed past the horizon of the open window is not
         // delivered in it, and a refused pop leaves the clock alone.
         let mut q = EventQueue::new();
@@ -407,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_len_counts_cross_shard_events_inside_a_window() {
+    fn len_counts_live_events_across_retimes_and_cancels() {
         // `len` counts live events only: re-times leave it unchanged,
         // cancels and pops lower it.
         let mut q = EventQueue::new();
@@ -429,7 +429,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "scheduling into the past")]
-    fn sharded_route_into_past_panics() {
+    fn schedule_behind_a_windowed_pop_panics() {
         // A windowed pop moves the clock; scheduling behind it panics.
         let mut q = EventQueue::new();
         q.schedule(SimTime(100), ());
@@ -438,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn widened_window_shrinks_on_in_window_cross_shard_event() {
+    fn event_retimed_earlier_inside_a_window_pops_first() {
         // Inside one wide window, an event re-timed earlier (a co-runner
         // finished, so its neighbour speeds up) is delivered before the
         // later events of the same window; one re-timed past the bound

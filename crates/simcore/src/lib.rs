@@ -11,6 +11,7 @@
 //! * [`stats`] — summary statistics (Welford online moments, percentiles,
 //!   CDFs, coefficient of variation) used both by the metric collector and by
 //!   the experiment harness.
+//! * [`fnv`] — the FNV-1a fold every fingerprint and output digest uses.
 //! * [`events`] — a discrete-event queue with stable FIFO tie-breaking, a
 //!   microsecond-resolution simulation clock, and cancellable timers: a
 //!   scheduled event can be re-timed in place or cancelled by its
@@ -46,6 +47,7 @@
 pub mod arena;
 pub mod dist;
 pub mod events;
+pub mod fnv;
 pub mod par;
 pub mod rng;
 pub mod stats;

@@ -177,7 +177,7 @@ fn resume_of_complete_journal_verifies_everything() {
 /// counters as the testbed's, and fold back into their own run's report
 /// and fault log.
 #[test]
-fn merged_multi_shard_journal_satisfies_invariants_and_replays() {
+fn scaled_topology_journals_satisfy_invariants_and_replay() {
     let seed = 13u64;
     for scale in [2usize, 4, 8] {
         let run = journaled_chaos_run(FAULTS_ON, seed, QUICK, scale);
