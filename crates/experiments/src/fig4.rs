@@ -23,7 +23,13 @@ use simcore::table::{fnum, TextTable};
 use simcore::{SimRng, SimTime};
 use workloads::loadgen::poisson_arrivals;
 
-const SEED: u64 = 0xF1_604;
+/// fig4's base seed; each panel runs on [`panel_seed`].
+pub(crate) const SEED: u64 = 0xF1_604;
+
+/// The seed of the panel whose interference source sits at `victim`.
+pub(crate) fn panel_seed(victim: usize) -> u64 {
+    seed_stream(SEED, victim as u64)
+}
 
 /// Per-function results of one interference run.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +190,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         ("(a) interference at 1:compose-post", 0usize),
         ("(b) interference at 6:compose-and-upload", 5usize),
     ] {
-        let seed = seed_stream(SEED, victim as u64);
+        let seed = panel_seed(victim);
         let record = opts.observing();
         let (base, base_obs, _) = run_condition_with_obs(
             &book,
@@ -203,7 +209,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         let journal_path = opts
             .open_journal(
                 &format!("fig4_{tag}_interfered.journal"),
-                &crate::journal_runs::fig4_spec(victim, 40.0, quick, seed),
+                &crate::journal_runs::fig4_spec(victim, 40.0, quick, SEED),
                 Some(crate::journal_runs::CHECKPOINT_EVERY_US),
             )
             .map(|(j, path)| {

@@ -50,6 +50,10 @@ pub fn fault_sweep_spec(point: SweepPoint, seed: u64, quick: bool) -> Json {
 /// Journal header spec for one `fig4` interfered run. Replayable by fold;
 /// resume is not supported for fig4 (re-execution needs the profile book —
 /// see [`rerun_from_header`]).
+///
+/// `seed` is fig4's base seed, not the run's: the run uses
+/// `seed_stream(seed, victim)`, a full 64-bit value that a JSON number
+/// would round, while the base seed is at most [`MAX_SEED`].
 pub fn fig4_spec(victim: usize, qps: f64, quick: bool, seed: u64) -> Json {
     Json::obj()
         .field("experiment", "fig4")
@@ -557,6 +561,17 @@ mod tests {
             err.contains("resume verification failed") || err.contains("does not match"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn fig4_header_seed_derives_the_run_seed_exactly() {
+        for victim in [0usize, 5] {
+            let header = fig4_spec(victim, 40.0, true, crate::fig4::SEED);
+            let parsed = Json::parse(&header.render()).expect("header is JSON");
+            let field = |k: &str| parsed.get(k).and_then(|j| j.as_f64()).unwrap();
+            let derived = simcore::rng::seed_stream(field("seed") as u64, field("victim") as u64);
+            assert_eq!(derived, crate::fig4::panel_seed(victim), "victim {victim}");
+        }
     }
 
     #[test]

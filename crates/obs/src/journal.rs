@@ -242,6 +242,16 @@ impl Wire for [u64; 4] {
     }
 }
 
+/// A boxed field is its contents on the wire.
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (**self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, String> {
+        T::get(r).map(Box::new)
+    }
+}
+
 /// The discriminant, one byte.
 impl Wire for PlacementKind {
     fn put(&self, buf: &mut Vec<u8>) {
@@ -337,11 +347,34 @@ wire_struct!(CheckpointState {
     requests_settled,
 });
 
+/// Cluster utilization at one collect tick.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UtilizationSnapshot {
+    /// CPU utilization per server.
+    pub cpu: Vec<f64>,
+    /// Memory utilization per server.
+    pub memory: Vec<f64>,
+    /// Instances per active core.
+    pub density: f64,
+    /// Instances alive.
+    pub instances: u64,
+}
+
+wire_struct!(UtilizationSnapshot {
+    cpu,
+    memory,
+    density,
+    instances,
+});
+
 /// One journaled simulation event.
 ///
 /// `wl`/`node` index the deployment order and call-graph node, `req` is the
 /// engine's global request sequence number. Latencies carry the exact `f64`
 /// the live run pushed into its report vectors.
+///
+/// The two wide, rare kinds are boxed so the enum stays 40 bytes:
+/// [`read_journal`] holds every decoded record at once.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEvent {
     /// A workload was deployed (wl indices are assigned in deploy order).
@@ -382,12 +415,7 @@ pub enum JournalEvent {
         values: Vec<f64>,
     },
     /// Cluster utilization snapshot at a collect tick.
-    Utilization {
-        cpu: Vec<f64>,
-        memory: Vec<f64>,
-        density: f64,
-        instances: u64,
-    },
+    Utilization(Box<UtilizationSnapshot>),
     /// A fault-log record (injected fault or recovery/degradation action).
     /// `kind` is one of the labels [`crate::faultlog::intern_kind`] knows;
     /// decoding rejects any other.
@@ -399,7 +427,7 @@ pub enum JournalEvent {
     /// Telemetry registry snapshot (JSONL), written once at run end.
     TelemetrySnapshot { jsonl: String },
     /// Periodic engine-state checkpoint.
-    Checkpoint(CheckpointState),
+    Checkpoint(Box<CheckpointState>),
     /// End of run; the report horizon.
     RunEnd { horizon_us: u64 },
 }
@@ -463,7 +491,7 @@ payload_table! {
     8 => Retry { wl, req, delay_ms },
     9 => Failed { wl, req, attempts },
     10 => MetricSample { wl, node, values },
-    11 => Utilization { cpu, memory, density, instances },
+    11 => Utilization(snapshot),
     12 => Fault { kind, target, value },
     13 => TelemetrySnapshot { jsonl },
     14 => Checkpoint(state),
@@ -594,11 +622,11 @@ impl<W: Write + 'static> JournalSink for JournalWriter<W> {
 pub type MemoryJournal = JournalWriter<Vec<u8>>;
 
 impl MemoryJournal {
-    /// Memory-backed journal; infallible. Pre-sized so the write path pays
-    /// no realloc chain (a file journal amortizes through `BufWriter`; the
-    /// Vec equivalent is reserving up front).
+    /// Memory-backed journal; infallible. The buffer grows by doubling from
+    /// empty: reserving megabytes up front for every journal raised peak
+    /// RSS and bought no measurable write speed.
     pub fn in_memory(header: &Json, checkpoint_every_us: Option<u64>) -> Self {
-        JournalWriter::new(Vec::with_capacity(4 << 20), header, checkpoint_every_us)
+        JournalWriter::new(Vec::new(), header, checkpoint_every_us)
             .expect("writing to a Vec cannot fail")
     }
 
@@ -889,7 +917,7 @@ pub fn check_invariants(records: &[JournalRecord]) -> Vec<String> {
             JournalEvent::MetricSample { wl, node, .. } => {
                 check_wl(&deploys, &mut violations, rec.seq, *wl, Some(*node))
             }
-            JournalEvent::Utilization { .. } => {}
+            JournalEvent::Utilization(_) => {}
             JournalEvent::Fault { .. } => {}
             JournalEvent::TelemetrySnapshot { .. } => {}
             JournalEvent::Checkpoint(c) => {
@@ -1016,7 +1044,7 @@ mod tests {
             ),
             (
                 2_000_000,
-                JournalEvent::Checkpoint(CheckpointState {
+                JournalEvent::Checkpoint(Box::new(CheckpointState {
                     at_us: 2_000_000,
                     sim_rng: [1, 2, 3, 4],
                     retry_rng: [5, 6, 7, 8],
@@ -1029,7 +1057,7 @@ mod tests {
                     tasks_created: 40,
                     requests_created: 20,
                     requests_settled: 19,
-                }),
+                })),
             ),
             (
                 3_000_000,
@@ -1109,12 +1137,12 @@ mod tests {
                 node: 1,
                 values: vec![1.5, -0.0, f64::MAX],
             },
-            JournalEvent::Utilization {
+            JournalEvent::Utilization(Box::new(UtilizationSnapshot {
                 cpu: vec![0.5, 0.25],
                 memory: vec![0.1],
                 density: 3.5,
                 instances: 7,
-            },
+            })),
             JournalEvent::Fault {
                 kind: "server_crash",
                 target: -1,
@@ -1123,7 +1151,7 @@ mod tests {
             JournalEvent::TelemetrySnapshot {
                 jsonl: "{\"name\":\"a\"}\n".into(),
             },
-            JournalEvent::Checkpoint(CheckpointState {
+            JournalEvent::Checkpoint(Box::new(CheckpointState {
                 at_us: 2_000_000,
                 sim_rng: [1, 2, 3, 4],
                 retry_rng: [5, 6, 7, 8],
@@ -1136,7 +1164,7 @@ mod tests {
                 tasks_created: 40,
                 requests_created: 20,
                 requests_settled: 19,
-            }),
+            })),
             JournalEvent::RunEnd {
                 horizon_us: 3_000_000,
             },
@@ -1181,6 +1209,36 @@ mod tests {
             assert_eq!(hex(&payload), pin, "{ev:?}");
             assert_eq!(JournalEvent::decode(&payload).unwrap(), ev);
         }
+    }
+
+    /// `read_journal` holds every decoded record at once, so a record's
+    /// size is the replay's memory per event: a new wide variant must be
+    /// boxed like `Utilization` and `Checkpoint`.
+    #[test]
+    fn decoded_record_stays_small() {
+        assert!(std::mem::size_of::<JournalRecord>() <= 56);
+    }
+
+    #[test]
+    fn boxed_kinds_roundtrip_through_a_journal() {
+        let boxed: Vec<_> = every_variant()
+            .into_iter()
+            .filter(|ev| {
+                matches!(
+                    ev,
+                    JournalEvent::Utilization(_) | JournalEvent::Checkpoint(_)
+                )
+            })
+            .collect();
+        assert_eq!(boxed.len(), 2);
+        let mut j = MemoryJournal::in_memory(&Json::obj(), None);
+        for ev in &boxed {
+            j.record(7, ev);
+        }
+        j.finish();
+        let parsed = read_journal(j.bytes()).unwrap();
+        let events: Vec<_> = parsed.records.into_iter().map(|r| r.event).collect();
+        assert_eq!(events, boxed);
     }
 
     #[test]
@@ -1249,7 +1307,7 @@ mod tests {
         j.record(0, &JournalEvent::Arrival { wl: 0, req: 0 });
         j.record(
             5,
-            &JournalEvent::Checkpoint(CheckpointState {
+            &JournalEvent::Checkpoint(Box::new(CheckpointState {
                 at_us: 5,
                 sim_rng: [0; 4],
                 retry_rng: [0; 4],
@@ -1262,7 +1320,7 @@ mod tests {
                 tasks_created: 0,
                 requests_created: 0,
                 requests_settled: 0,
-            }),
+            })),
         );
         let s = j.stats();
         assert_eq!(s.records, 2);
@@ -1468,7 +1526,7 @@ mod tests {
     /// with a checkpoint after each step; `tweak` edits the last one.
     fn checkpointed(tweak: impl FnOnce(&mut CheckpointState)) -> Vec<JournalRecord> {
         let checkpoint = |at_us, created, settled| {
-            JournalEvent::Checkpoint(CheckpointState {
+            JournalEvent::Checkpoint(Box::new(CheckpointState {
                 at_us,
                 sim_rng: [0; 4],
                 retry_rng: [0; 4],
@@ -1481,7 +1539,7 @@ mod tests {
                 tasks_created: 2,
                 requests_created: created,
                 requests_settled: settled,
-            })
+            }))
         };
         let mut events = vec![
             JournalEvent::Deploy {

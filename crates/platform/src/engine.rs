@@ -127,8 +127,6 @@ struct Task {
     server: usize,
     /// Whether this invocation paid a cold start.
     cold: bool,
-    /// When the task left its instance queue and began executing.
-    exec_started: SimTime,
     /// When the currently-executing phase began (tracing only).
     phase_started: SimTime,
     /// When the task's own service finished (start of any nested wait).

@@ -3,7 +3,7 @@
 
 use super::{current_phase, Ev, Simulation};
 use metricsd::MetricVector;
-use obs::journal::{CheckpointState, JournalEvent};
+use obs::journal::{CheckpointState, JournalEvent, UtilizationSnapshot};
 use simcore::fnv;
 use simcore::rng::seed_stream;
 use simcore::{SimRng, SimTime};
@@ -74,14 +74,15 @@ impl Simulation {
         } else {
             0.0
         };
-        let utilization = JournalEvent::Utilization {
+        let utilization = JournalEvent::Utilization(Box::new(UtilizationSnapshot {
             cpu: cpu_utils,
             memory: mem_utils,
             density,
             instances: self.instance_count as u64,
-        };
+        }));
         self.emit_ref(now, &utilization);
-        if let JournalEvent::Utilization { cpu, memory, .. } = utilization {
+        if let JournalEvent::Utilization(snapshot) = utilization {
+            let UtilizationSnapshot { cpu, memory, .. } = *snapshot;
             self.collect.cpu = cpu;
             self.collect.memory = memory;
         }
@@ -107,7 +108,7 @@ impl Simulation {
         let c = &self.collect;
         if c.checkpoint_every > SimTime::ZERO && now >= c.next_checkpoint {
             let state = self.checkpoint_state(now);
-            self.emit(now, JournalEvent::Checkpoint(state));
+            self.emit(now, JournalEvent::Checkpoint(Box::new(state)));
             let c = &mut self.collect;
             while c.next_checkpoint <= now {
                 c.next_checkpoint = c.next_checkpoint.plus(c.checkpoint_every);

@@ -154,7 +154,6 @@ impl Simulation {
             load_id: None,
             server: self.deployed[fwd.wl].instances[fwd.node][inst_idx].server,
             cold: false,
-            exec_started: now,
             phase_started: now,
             service_done: now,
         };
@@ -258,7 +257,6 @@ impl Simulation {
                 t.remaining_us = first_phase.map_or(0.0, |p| p.duration.as_micros() as f64);
                 t.last_update = now;
                 t.cold = cold;
-                t.exec_started = now;
                 t.phase_started = now;
                 t.server
             };

@@ -160,17 +160,12 @@ impl Fold<'_> {
                     .metric_samples
                     .push(MetricVector::from_array(arr));
             }
-            JournalEvent::Utilization {
-                cpu,
-                memory,
-                density,
-                instances,
-            } => report.utilization.push(UtilizationSample {
+            JournalEvent::Utilization(u) => report.utilization.push(UtilizationSample {
                 at: SimTime::from_micros(at_us),
-                cpu: cpu.clone(),
-                memory: memory.clone(),
-                function_density: *density,
-                instances: *instances as usize,
+                cpu: u.cpu.clone(),
+                memory: u.memory.clone(),
+                function_density: u.density,
+                instances: u.instances as usize,
             }),
             JournalEvent::Fault {
                 kind,
@@ -213,7 +208,7 @@ pub fn replay(records: &[JournalRecord]) -> Result<Replayed, String> {
         match &rec.event {
             // Last snapshot wins — the engine journals one per `run_until`.
             JournalEvent::TelemetrySnapshot { jsonl } => telemetry_jsonl = Some(jsonl.clone()),
-            JournalEvent::Checkpoint(state) => checkpoints.push(state.clone()),
+            JournalEvent::Checkpoint(state) => checkpoints.push((**state).clone()),
             _ => {}
         }
     }

@@ -185,8 +185,8 @@ fn checkpoints_partition_the_cluster_and_sum_to_journal_totals() {
             JournalEvent::Shed { .. }
             | JournalEvent::Completed { .. }
             | JournalEvent::Failed { .. } => settled += 1,
-            JournalEvent::Utilization { cpu, memory, .. } => {
-                assert_eq!((cpu.len(), memory.len()), (servers, servers));
+            JournalEvent::Utilization(u) => {
+                assert_eq!((u.cpu.len(), u.memory.len()), (servers, servers));
                 ticks += 1;
             }
             JournalEvent::Fault { .. } => faults += 1,
