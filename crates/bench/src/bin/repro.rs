@@ -185,6 +185,19 @@ fn cmd_resume(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// One `train_throughput` measurement as its `BENCH_repro.json` object.
+fn train_json(m: &experiments::fig14::TrainThroughput) -> Json {
+    Json::obj()
+        .field("rows", m.rows)
+        .field("dim", m.dim)
+        .field("trees", m.trees)
+        .field("reference_rows_per_s", m.reference_rows_per_s)
+        .field("kernel_rows_per_s", m.kernel_rows_per_s)
+        .field("kernel_speedup", m.kernel_speedup)
+        .field("threads", m.threads)
+        .field("bit_identical", m.bit_identical)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
@@ -267,17 +280,27 @@ fn main() {
         tp.seq_rows_per_s, tp.batch_rows_per_s, tp.speedup, tp.bitwise_equal
     );
     // Training-kernel throughput: presorted column-major kernel vs the
-    // exhaustive reference split search, same forest from the same seed.
+    // exhaustive reference split search, same forest from the same seed, at
+    // the standard size and at IRFR's online refresh size.
     let tt = experiments::fig14::train_throughput(cli.opts.quick);
-    println!(
-        "train throughput: {:.0} rows/s reference, {:.0} rows/s kernel \
-         ({:.2}x, {} thread(s), bit-identical: {})",
-        tt.reference_rows_per_s,
-        tt.kernel_rows_per_s,
-        tt.kernel_speedup,
-        tt.threads,
-        tt.bit_identical
-    );
+    let irfr = experiments::fig14::train_throughput_irfr();
+    for (label, m) in [
+        ("train throughput", &tt),
+        ("train throughput (irfr)", &irfr),
+    ] {
+        println!(
+            "{label}: {} x {} x {} trees, {:.0} rows/s reference, {:.0} rows/s kernel \
+             ({:.2}x, {} thread(s), bit-identical: {})",
+            m.rows,
+            m.dim,
+            m.trees,
+            m.reference_rows_per_s,
+            m.kernel_rows_per_s,
+            m.kernel_speedup,
+            m.threads,
+            m.bit_identical
+        );
+    }
     // Event-engine serving rate on the chaos point across cluster sizes.
     let et = experiments::engine_throughput::engine_throughput(cli.opts.quick);
     for p in &et.points {
@@ -316,15 +339,7 @@ fn main() {
         )
         .field(
             "train_throughput",
-            Json::obj()
-                .field("rows", tt.rows)
-                .field("dim", tt.dim)
-                .field("trees", tt.trees)
-                .field("reference_rows_per_s", tt.reference_rows_per_s)
-                .field("kernel_rows_per_s", tt.kernel_rows_per_s)
-                .field("kernel_speedup", tt.kernel_speedup)
-                .field("threads", tt.threads)
-                .field("bit_identical", tt.bit_identical),
+            train_json(&tt).field("irfr", train_json(&irfr)),
         )
         .field(
             "engine_throughput",

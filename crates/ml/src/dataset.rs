@@ -107,7 +107,7 @@ impl Dataset {
 /// through the store is bitwise-identical to reading it through `row()`.
 /// Constant columns (the sparse zero padding of the paper's overlap
 /// codings, which dominate the 2580-dim feature vectors) are flagged here
-/// so the kernel can skip presorting and scanning them — a constant column
+/// so the kernel can skip gathering and scanning them — a constant column
 /// can never produce a split, in either implementation.
 #[derive(Debug, Clone)]
 pub struct ColumnStore {
@@ -189,8 +189,10 @@ impl ColumnStore {
         self.targets[i]
     }
 
-    /// Whether feature `f` holds one bit-identical value on every row (and
-    /// therefore can never yield a split).
+    /// Whether all of feature `f`'s values are `==`-equal (so no split
+    /// threshold can fall between two of them). The test is `==`, not bit
+    /// equality: a column mixing `+0.0` and `-0.0` counts as constant, and
+    /// on two or more rows a column holding a NaN never does.
     pub fn is_constant(&self, f: usize) -> bool {
         self.constant[f]
     }

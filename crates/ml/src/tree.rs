@@ -20,11 +20,15 @@
 //! * **Column-major reads** — feature values are gathered once into
 //!   per-feature value arenas (a [`ColumnStore`] transpose restricted to
 //!   the bootstrap sample), so every scan walks contiguous memory.
-//! * **Radix presort once per tree** — one position array per non-constant
-//!   feature, LSD-radix-sorted at the root on a monotone `u64` key whose
-//!   integer order equals `f64::total_cmp` order. Byte passes where a
-//!   single bucket holds every key are skipped, which collapses the cost
-//!   on the quantised telemetry columns (2–3 varying bytes of 8).
+//! * **Radix presort once per tree, when the sample reaches the cutoff** —
+//!   one position array per non-constant feature, LSD-radix-sorted at the
+//!   root on a monotone `u64` key whose integer order equals
+//!   `f64::total_cmp` order. Byte passes where a single bucket holds every
+//!   key are skipped, which collapses the cost on the quantised telemetry
+//!   columns (2–3 varying bytes of 8). Only nodes of at least `SMALL_NODE`
+//!   rows read the arrays, so a bootstrap sample below that cutoff gets no
+//!   presort at all: its root already sorts on demand. IRFR's paper-scale
+//!   refreshes (120–240 rows) never reach the cutoff.
 //! * **Sorted-order maintenance with a size cutoff** — partitions of large
 //!   nodes *stably filter* each presorted array into the two children
 //!   (branchless dual-store loop) instead of re-sorting, O(n) per feature
@@ -41,8 +45,9 @@
 //!   prefix-moment sweep over the sorted order (push left / pop right),
 //!   the same floating-point operation sequence as the reference.
 //! * **Constant-column skip** — globally constant features (the sparse
-//!   zero padding that dominates the overlap codings) are never presorted
-//!   or scanned; they cannot produce a split in either implementation.
+//!   zero padding that dominates the overlap codings) are never gathered,
+//!   presorted or scanned; they cannot produce a split in either
+//!   implementation.
 //!
 //! A tree is built on one thread; the forest trains its independent trees
 //! in parallel (see [`crate::forest`]).
@@ -234,7 +239,8 @@ impl Moments {
 ///   once per tree (an `n × 8` byte table, L1/L2-resident for typical
 ///   node counts, indexed by the `u32` positions below);
 /// * `sorted` — bootstrap positions ordered by `(value, position)`,
-///   maintained through node partitions by stable filtering.
+///   maintained through node partitions by stable filtering; empty when
+///   the bootstrap sample is below [`SMALL_NODE`], since no node reads it.
 ///
 /// Keeping the arena entries at 4 bytes (positions only) instead of
 /// `(u32, f64)` pairs quarters the memory the per-node partition
@@ -257,7 +263,8 @@ struct FeatureColumn {
 /// because the presort amortises across the wide top levels. A parent
 /// therefore skips maintaining the arena ranges of any child smaller than
 /// this cutoff (or that will be a leaf): such children — and, inductively,
-/// all their descendants — never read them.
+/// all their descendants — never read them. For the same reason a tree
+/// whose whole bootstrap sample is below the cutoff is never presorted.
 const SMALL_NODE: usize = 512;
 
 /// Order-preserving integer image of an `f64`:
@@ -313,8 +320,8 @@ struct KernelBuilder {
     /// Node membership arena: bootstrap positions, always ascending within
     /// a node's `[lo, hi)` range (stable filtering preserves this).
     members: Vec<u32>,
-    /// Presorted arenas for every non-constant feature; a node owns the
-    /// same `[lo, hi)` range in each.
+    /// Gathered values and presorted arenas for every non-constant feature;
+    /// a node owns the same `[lo, hi)` range in each arena.
     feats: Vec<FeatureColumn>,
     /// Map feature id -> index in `feats` (`u32::MAX` = constant, skipped).
     active: Vec<u32>,
@@ -337,15 +344,21 @@ impl KernelBuilder {
         let y: Vec<f64> = rows.iter().map(|&r| store.target(r)).collect();
         let members: Vec<u32> = (0..n as u32).collect();
         let active_features: Vec<usize> = (0..dim).filter(|&f| !store.is_constant(f)).collect();
-        // Presort once per tree: O(d_active · n log n) contiguous-key sorts
-        // instead of one strided sort per feature per node.
+        // Presort once per tree, and only when the root reaches the cutoff:
+        // arenas are read by nodes of at least `SMALL_NODE` rows, so below
+        // it the root and every descendant sort on demand and a presort
+        // would be thrown away unread (IRFR's 120–240-row refreshes).
+        let presort = n >= SMALL_NODE;
         let feats: Vec<FeatureColumn> = active_features
             .into_iter()
             .map(|f| {
                 let col = store.column(f);
                 let vals: Vec<f64> = rows.iter().map(|&r| col[r]).collect();
-                let mut sorted: Vec<u32> = (0..n as u32).collect();
-                radix_sort_positions(&vals, &mut sorted);
+                let mut sorted = Vec::new();
+                if presort {
+                    sorted.extend(0..n as u32);
+                    radix_sort_positions(&vals, &mut sorted);
+                }
                 FeatureColumn {
                     feature: f,
                     vals,
@@ -906,6 +919,84 @@ mod tests {
             let mut got: Vec<u32> = (0..vals.len() as u32).collect();
             radix_sort_positions(&vals, &mut got);
             assert_eq!(got, expect, "case {case}");
+        }
+    }
+
+    /// Quantised informative columns (value ties), one scattered
+    /// non-constant column per row, constant zero padding elsewhere.
+    fn cutoff_corpus(n: usize, dim: usize, seed: u64) -> Dataset {
+        let mut rng = SimRng::new(seed);
+        let mut d = Dataset::new(dim);
+        for _ in 0..n {
+            let mut x = vec![0.0; dim];
+            for slot in x.iter_mut().take(6) {
+                *slot = (rng.f64() * 16.0).floor() / 4.0;
+            }
+            x[8 + rng.index(dim - 8)] = rng.f64();
+            let y = 3.0 * x[0] - 2.0 * x[1] + x[0] * x[2] + rng.f64() * 0.25;
+            d.push(&x, y);
+        }
+        d
+    }
+
+    #[test]
+    fn kernel_matches_reference_at_the_presort_cutoff() {
+        let data = cutoff_corpus(2 * SMALL_NODE, 24, 0x51);
+        let store = data.column_store();
+        let configs = [
+            TreeParams::default(),
+            TreeParams {
+                max_depth: 4,
+                min_samples_leaf: 1,
+                mtry: 0,
+            },
+            TreeParams {
+                max_depth: 20,
+                min_samples_leaf: 5,
+                mtry: 3,
+            },
+            TreeParams {
+                max_depth: 10,
+                min_samples_leaf: 2,
+                mtry: usize::MAX,
+            },
+        ];
+        for n in [SMALL_NODE - 1, SMALL_NODE, SMALL_NODE + 1] {
+            for seed in [1u64, 8, 89] {
+                let rows = data.bootstrap(n, &mut SimRng::new(seed));
+                for params in configs {
+                    let mut rng_ref = SimRng::new(seed ^ 0xC0FFEE);
+                    let reference = crate::reference::fit_rows(&data, &rows, params, &mut rng_ref);
+                    let mut rng_ker = SimRng::new(seed ^ 0xC0FFEE);
+                    let kernel = RegressionTree::fit_rows_with(&store, &rows, params, &mut rng_ker);
+                    assert_eq!(reference, kernel, "n {n}, seed {seed}, params {params:?}");
+                    assert_eq!(
+                        rng_ref.next_u64(),
+                        rng_ker.next_u64(),
+                        "RNG streams diverged: n {n}, seed {seed}, params {params:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn presort_runs_only_at_the_cutoff() {
+        let data = cutoff_corpus(2 * SMALL_NODE, 24, 0x52);
+        let store = data.column_store();
+        let below = data.bootstrap(SMALL_NODE - 1, &mut SimRng::new(3));
+        let kb = KernelBuilder::new(&store, &below, TreeParams::default());
+        assert_eq!(kb.feats.len(), store.non_constant_features());
+        assert!(kb.feats.iter().all(|fc| fc.sorted.is_empty()));
+
+        let at = data.bootstrap(SMALL_NODE, &mut SimRng::new(4));
+        let kb = KernelBuilder::new(&store, &at, TreeParams::default());
+        assert_eq!(kb.feats.len(), store.non_constant_features());
+        let identity: Vec<u32> = (0..SMALL_NODE as u32).collect();
+        for fc in &kb.feats {
+            let mut perm = fc.sorted.clone();
+            perm.sort_unstable();
+            assert_eq!(perm, identity, "feature {}", fc.feature);
         }
     }
 
