@@ -1,41 +1,33 @@
-// Property-based suites need the crates.io `proptest` crate, which this
-// offline workspace cannot fetch; the whole file is compiled only when the
-// crate's `proptest` feature is enabled (see Cargo.toml).
-#![cfg(feature = "proptest")]
+//! Property tests for the contention model's physical invariants. Each test
+//! loops over seeds, draws its cases from `SimRng::new(seed)` and names the
+//! seed in every assert message.
 
-//! Property-based tests for the contention model's physical invariants.
+use cluster::{Boundedness, Demand, InstanceLoad, Resource, Sensitivity, ServerSpec, ServerState};
+use simcore::SimRng;
 
-use cluster::{Boundedness, Demand, InstanceLoad, Sensitivity, ServerSpec, ServerState};
-use proptest::prelude::*;
-
-fn arb_load(sockets: usize) -> impl Strategy<Value = InstanceLoad> {
-    (
-        0.1f64..6.0,   // cpu
-        0.0f64..40.0,  // membw
-        0.0f64..15.0,  // llc
-        0.0f64..300.0, // disk
-        0.0f64..600.0, // net
-        0.1f64..4.0,   // memory
-        0.0f64..2.0,   // sens membw
-        0.0f64..2.0,   // sens llc
-        0.0f64..1.0,   // sens smt
-        0..sockets,
-    )
-        .prop_map(
-            |(cpu, membw, llc, disk, net, mem, sm, sl, ss, socket)| InstanceLoad {
-                demand: Demand::new(cpu, membw, llc, disk, net, mem),
-                bounded: Boundedness::new(0.6, 0.2, 0.2),
-                sens: Sensitivity::new(sm, sl, ss),
-                socket,
-            },
-        )
+/// A random load on one of `sockets` sockets.
+fn load(rng: &mut SimRng, sockets: usize) -> InstanceLoad {
+    let mut u = |lo: f64, hi: f64| lo + rng.f64() * (hi - lo);
+    InstanceLoad {
+        demand: Demand::new(
+            u(0.1, 6.0),   // cpu
+            u(0.0, 40.0),  // membw
+            u(0.0, 15.0),  // llc
+            u(0.0, 300.0), // disk
+            u(0.0, 600.0), // net
+            u(0.1, 4.0),   // memory
+        ),
+        bounded: Boundedness::new(0.6, 0.2, 0.2),
+        sens: Sensitivity::new(u(0.0, 2.0), u(0.0, 2.0), u(0.0, 1.0)),
+        socket: rng.index(sockets),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn slowdown_at_least_one(loads in prop::collection::vec(arb_load(4), 1..8)) {
+#[test]
+fn slowdown_at_least_one() {
+    for seed in 0..512u64 {
+        let mut rng = SimRng::new(seed);
+        let loads: Vec<InstanceLoad> = (0..1 + rng.index(7)).map(|_| load(&mut rng, 4)).collect();
         let mut s = ServerState::new(ServerSpec::paper_node());
         for l in &loads {
             s.add(*l);
@@ -43,75 +35,80 @@ proptest! {
         let c = s.contention();
         for l in &loads {
             let ic = c.instance(l);
-            prop_assert!(ic.slowdown >= 1.0 - 1e-9, "slowdown {}", ic.slowdown);
-            prop_assert!(ic.mem_factor >= 1.0 - 1e-9);
-            prop_assert!(ic.cpu_stretch >= 1.0 - 1e-9);
+            assert!(
+                ic.slowdown >= 1.0 - 1e-9,
+                "seed {seed}: slowdown {}",
+                ic.slowdown
+            );
+            assert!(
+                ic.mem_factor >= 1.0 - 1e-9,
+                "seed {seed}: mem {}",
+                ic.mem_factor
+            );
+            assert!(
+                ic.cpu_stretch >= 1.0 - 1e-9,
+                "seed {seed}: cpu {}",
+                ic.cpu_stretch
+            );
         }
     }
+}
 
-    #[test]
-    fn solo_instance_exactly_unaffected(load in arb_load(4)) {
+#[test]
+fn solo_instance_exactly_unaffected() {
+    for seed in 0..512u64 {
+        let mut rng = SimRng::new(seed);
+        let l = load(&mut rng, 4);
         let mut s = ServerState::new(ServerSpec::paper_node());
-        s.add(load);
-        let ic = s.contention().instance(&load);
-        prop_assert!((ic.slowdown - 1.0).abs() < 1e-9, "solo slowdown {}", ic.slowdown);
+        s.add(l);
+        let slowdown = s.contention().instance(&l).slowdown;
+        assert!(
+            (slowdown - 1.0).abs() < 1e-9,
+            "seed {seed}: solo slowdown {slowdown}"
+        );
     }
+}
 
-    #[test]
-    fn adding_corunner_never_speeds_up_victim(
-        victim in arb_load(1),
-        corunner in arb_load(1),
-        extra in arb_load(1),
-    ) {
-        // Single-socket server: all on socket 0 so everything interacts.
-        let spec = ServerSpec::small();
-        let mut v = victim;
-        v.socket = 0;
-        let mut c1 = corunner;
-        c1.socket = 0;
-        let mut c2 = extra;
-        c2.socket = 0;
-
-        let mut s = ServerState::new(spec.clone());
-        s.add(v);
-        s.add(c1);
-        let before = s.contention().instance(&v).slowdown;
-        s.add(c2);
-        let after = s.contention().instance(&v).slowdown;
-        prop_assert!(after >= before - 1e-9, "adding load sped victim up: {before} -> {after}");
+#[test]
+fn adding_corunner_never_speeds_up_victim() {
+    for seed in 0..512u64 {
+        let mut rng = SimRng::new(seed);
+        // Single-socket server: everything on socket 0 interacts.
+        let [victim, corunner, extra] = [(); 3].map(|_| load(&mut rng, 1));
+        let mut s = ServerState::new(ServerSpec::small());
+        s.add(victim);
+        s.add(corunner);
+        let before = s.contention().instance(&victim).slowdown;
+        s.add(extra);
+        let after = s.contention().instance(&victim).slowdown;
+        assert!(
+            after >= before - 1e-9,
+            "seed {seed}: victim sped up {before} -> {after}"
+        );
     }
+}
 
-    #[test]
-    fn cross_socket_cpu_membw_isolated(victim in arb_load(1), aggressor in arb_load(1)) {
-        // Disk/net/memory are server-wide, so zero them to test the
+#[test]
+fn cross_socket_cpu_membw_isolated() {
+    for seed in 0..512u64 {
+        let mut rng = SimRng::new(seed);
+        // Disk, net and memory are server-wide, so zero them to test the
         // socket-local dimensions in isolation.
-        let mut v = victim;
-        v.socket = 0;
-        v.demand.set(cluster::Resource::Disk, 0.0);
-        v.demand.set(cluster::Resource::Net, 0.0);
-        v.demand.set(cluster::Resource::Memory, 0.1);
-        let mut a = aggressor;
-        a.socket = 1;
-        a.demand.set(cluster::Resource::Disk, 0.0);
-        a.demand.set(cluster::Resource::Net, 0.0);
-        a.demand.set(cluster::Resource::Memory, 0.1);
-
+        let [victim, aggressor] = [0, 1].map(|socket| {
+            let mut l = load(&mut rng, 1);
+            l.socket = socket;
+            l.demand.set(Resource::Disk, 0.0);
+            l.demand.set(Resource::Net, 0.0);
+            l.demand.set(Resource::Memory, 0.1);
+            l
+        });
         let mut s = ServerState::new(ServerSpec::dual_socket());
-        s.add(v);
-        s.add(a);
-        let ic = s.contention().instance(&v);
-        prop_assert!((ic.slowdown - 1.0).abs() < 1e-9, "cross-socket leak: {}", ic.slowdown);
-    }
-
-    #[test]
-    fn contention_deterministic(loads in prop::collection::vec(arb_load(4), 1..6)) {
-        let build = || {
-            let mut s = ServerState::new(ServerSpec::paper_node());
-            for l in &loads {
-                s.add(*l);
-            }
-            loads.iter().map(|l| s.contention().instance(l).slowdown).collect::<Vec<_>>()
-        };
-        prop_assert_eq!(build(), build());
+        s.add(victim);
+        s.add(aggressor);
+        let slowdown = s.contention().instance(&victim).slowdown;
+        assert!(
+            (slowdown - 1.0).abs() < 1e-9,
+            "seed {seed}: cross-socket leak {slowdown}"
+        );
     }
 }

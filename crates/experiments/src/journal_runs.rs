@@ -500,6 +500,18 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_header_is_an_error_not_a_stack_overflow() {
+        let header = "[".repeat(100_000);
+        let mut bytes = obs::journal::MAGIC.to_vec();
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(header.as_bytes());
+        for err in [replay_bytes(&bytes).err(), resume_bytes(&bytes).err()] {
+            let err = err.expect("a 100 000-deep header must be refused");
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+    }
+
+    #[test]
     fn replay_reconstructs_chaos_run_byte_identically() {
         let point = SweepPoint {
             crash_per_min: 2.0,

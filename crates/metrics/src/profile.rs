@@ -83,19 +83,6 @@ impl FunctionProfile {
         self.mean
     }
 
-    /// Mean metric vector restricted to a time window `[from, to)` —
-    /// used by the temporal-overlap study where only the overlapping phase
-    /// matters.
-    pub fn mean_window(&self, from: SimTime, to: SimTime) -> MetricVector {
-        let in_window: Vec<MetricVector> = self
-            .samples
-            .iter()
-            .filter(|s| s.at >= from && s.at < to)
-            .map(|s| s.metrics)
-            .collect();
-        MetricVector::mean_of(&in_window)
-    }
-
     /// Duration covered by the profile (time of the last sample, zero when
     /// empty).
     pub fn duration(&self) -> SimTime {
@@ -200,24 +187,6 @@ mod tests {
         let p = FunctionProfile::new("f", vec![sample(0.0, 1.0), sample(1.0, 3.0)], false);
         assert_eq!(p.mean().get(Metric::Ipc), 2.0);
         assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn mean_window_filters() {
-        let p = FunctionProfile::new(
-            "f",
-            vec![sample(0.0, 1.0), sample(1.0, 3.0), sample(2.0, 5.0)],
-            false,
-        );
-        let m = p.mean_window(SimTime::from_secs(1.0), SimTime::from_secs(3.0));
-        assert_eq!(m.get(Metric::Ipc), 4.0);
-    }
-
-    #[test]
-    fn mean_window_empty_is_zero() {
-        let p = FunctionProfile::new("f", vec![sample(0.0, 1.0)], false);
-        let m = p.mean_window(SimTime::from_secs(5.0), SimTime::from_secs(6.0));
-        assert!(m.is_zero());
     }
 
     #[test]

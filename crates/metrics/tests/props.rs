@@ -1,65 +1,70 @@
-// Property-based suites need the crates.io `proptest` crate, which this
-// offline workspace cannot fetch; the whole file is compiled only when the
-// crate's `proptest` feature is enabled (see Cargo.toml).
-#![cfg(feature = "proptest")]
+//! Property tests for correlation and metric-vector invariants. Each test
+//! loops over seeds, draws its cases from `SimRng::new(seed)` and names the
+//! seed in every assert message.
 
-//! Property-based tests for correlation and metric-vector invariants.
+use metricsd::{pearson, spearman, Metric, MetricVector, NUM_METRICS};
+use simcore::SimRng;
+use std::ops::Range;
 
-use metricsd::{pearson, spearman, Metric, MetricVector};
-use proptest::prelude::*;
+/// `len` in `lens`, each value uniform in `[lo, hi)`.
+fn values(rng: &mut SimRng, lens: Range<usize>, lo: f64, hi: f64) -> Vec<f64> {
+    let len = lens.start + rng.index(lens.len());
+    (0..len).map(|_| lo + rng.f64() * (hi - lo)).collect()
+}
 
-proptest! {
-    #[test]
-    fn pearson_bounded(
-        pairs in prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 2..100)
-    ) {
-        let x: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let y: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+#[test]
+fn pearson_bounded_and_symmetric() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let x = values(&mut rng, 2..100, -1e3, 1e3);
+        let y = values(&mut rng, x.len()..x.len() + 1, -1e3, 1e3);
         let r = pearson(&x, &y);
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
+        assert!(
+            (-1.0 - 1e-9..=1.0 + 1e-9).contains(&r),
+            "seed {seed}: r = {r}"
+        );
+        let r_yx = pearson(&y, &x);
+        assert!(
+            (r - r_yx).abs() < 1e-9,
+            "seed {seed}: r(x,y) {r} != r(y,x) {r_yx}"
+        );
     }
+}
 
-    #[test]
-    fn pearson_symmetric(
-        pairs in prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 2..100)
-    ) {
-        let x: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let y: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        prop_assert!((pearson(&x, &y) - pearson(&y, &x)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pearson_invariant_under_affine_transform(
-        xs in prop::collection::vec(-1e3f64..1e3, 3..50),
-        a in 0.1f64..10.0,
-        b in -100.0f64..100.0,
-    ) {
-        // y = a·x + b gives r = 1 exactly (for non-constant x).
-        let spread = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        prop_assume!(spread > 1e-6);
+#[test]
+fn pearson_invariant_under_affine_transform() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        // y = a·x + b gives r = 1 exactly for non-constant x.
+        let xs = values(&mut rng, 3..50, -1e3, 1e3);
+        let a = 0.1 + rng.f64() * 9.9;
+        let b = -100.0 + rng.f64() * 200.0;
         let ys: Vec<f64> = xs.iter().map(|&x| a * x + b).collect();
-        prop_assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-6);
+        let r = pearson(&xs, &ys);
+        assert!(
+            (r - 1.0).abs() < 1e-6,
+            "seed {seed}: r = {r} for y = {a}x + {b}"
+        );
     }
+}
 
-    #[test]
-    fn spearman_bounded_and_monotone_invariant(
-        xs in prop::collection::vec(-1e3f64..1e3, 3..50),
-    ) {
-        // Any strictly monotone transform preserves Spearman = 1.
-        let mut unique = xs.clone();
-        unique.sort_by(|p, q| p.partial_cmp(q).unwrap());
-        unique.dedup();
-        prop_assume!(unique.len() == xs.len());
+#[test]
+fn spearman_is_one_under_a_monotone_transform() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        // Distinct with probability 1: continuous draws.
+        let xs = values(&mut rng, 3..50, -1e3, 1e3);
         let ys: Vec<f64> = xs.iter().map(|&x| x.powi(3) + x).collect();
         let r = spearman(&xs, &ys);
-        prop_assert!((r - 1.0).abs() < 1e-9, "r = {r}");
+        assert!((r - 1.0).abs() < 1e-9, "seed {seed}: r = {r}");
     }
+}
 
-    #[test]
-    fn metric_vector_mean_between_extremes(
-        vals in prop::collection::vec(0.0f64..100.0, 1..20)
-    ) {
+#[test]
+fn metric_vector_mean_between_extremes() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let vals = values(&mut rng, 1..20, 0.0, 100.0);
         let vectors: Vec<MetricVector> = vals
             .iter()
             .map(|&v| {
@@ -71,17 +76,21 @@ proptest! {
         let mean = MetricVector::mean_of(&vectors).get(Metric::Ipc);
         let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
+        assert!(
+            mean >= lo - 1e-9 && mean <= hi + 1e-9,
+            "seed {seed}: {mean} outside [{lo}, {hi}]"
+        );
     }
+}
 
-    #[test]
-    fn selected_projection_preserves_values(v in prop::collection::vec(0.0f64..1e6, 19)) {
-        let mut arr = [0.0; 19];
-        arr.copy_from_slice(&v);
-        let m = MetricVector::from_array(arr);
+#[test]
+fn selected_projection_preserves_values() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let m = MetricVector::from_array([(); NUM_METRICS].map(|_| rng.f64() * 1e6));
         let s = m.selected();
         for (i, metric) in Metric::SELECTED.iter().enumerate() {
-            prop_assert_eq!(s[i], m.get(*metric));
+            assert_eq!(s[i], m.get(*metric), "seed {seed}: {metric:?}");
         }
     }
 }

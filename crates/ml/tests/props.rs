@@ -1,131 +1,139 @@
-// Property-based suites need the crates.io `proptest` crate, which this
-// offline workspace cannot fetch; the whole file is compiled only when the
-// crate's `proptest` feature is enabled (see Cargo.toml).
-#![cfg(feature = "proptest")]
-
-//! Property-based tests for the from-scratch learners.
+//! Property tests for the from-scratch learners. Each test loops over
+//! seeds, draws its cases from `SimRng::new(seed)` and names the seed in
+//! every assert message.
 
 use mlcore::{Dataset, ForestParams, RandomForest, RegressionTree, Scaler, TreeParams};
-use proptest::prelude::*;
 use simcore::SimRng;
 
-fn dataset(rows: &[(Vec<f64>, f64)]) -> Dataset {
-    let dim = rows[0].0.len();
+/// `lens.start..lens.end` rows of `dim` features in `[-100, 100)` with a
+/// target in `[-100, 100)`.
+fn dataset(rng: &mut SimRng, dim: usize, lens: std::ops::Range<usize>) -> Dataset {
+    let rows = lens.start + rng.index(lens.len());
+    let mut u = || -100.0 + rng.f64() * 200.0;
     let mut d = Dataset::new(dim);
-    for (x, y) in rows {
-        d.push(x, *y);
+    for _ in 0..rows {
+        let x: Vec<f64> = (0..dim).map(|_| u()).collect();
+        d.push(&x, u());
     }
     d
 }
 
-fn arb_rows(dim: usize, n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(Vec<f64>, f64)>> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(-100.0f64..100.0, dim..=dim),
-            -100.0f64..100.0,
-        ),
-        n,
-    )
+fn target_range(d: &Dataset) -> (f64, f64) {
+    let t = d.targets();
+    let lo = t.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = t.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    (lo, hi)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A probe in `[-200, 200)^3`, outside the training box half the time.
+fn probe(rng: &mut SimRng) -> Vec<f64> {
+    (0..3).map(|_| -200.0 + rng.f64() * 400.0).collect()
+}
 
-    #[test]
-    fn tree_prediction_within_target_range(
-        rows in arb_rows(3, 2..60),
-        probe in prop::collection::vec(-200.0f64..200.0, 3..=3),
-        seed in any::<u64>(),
-    ) {
-        let d = dataset(&rows);
+#[test]
+fn tree_prediction_within_target_range() {
+    for seed in 0..128u64 {
         let mut rng = SimRng::new(seed);
+        let d = dataset(&mut rng, 3, 2..60);
         let t = RegressionTree::fit(&d, TreeParams::default(), &mut rng);
-        let lo = rows.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
-        let hi = rows.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
-        let p = t.predict(&probe);
-        prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9, "prediction {p} outside [{lo}, {hi}]");
-    }
-
-    #[test]
-    fn forest_prediction_within_target_range(
-        rows in arb_rows(3, 2..40),
-        probe in prop::collection::vec(-200.0f64..200.0, 3..=3),
-        seed in any::<u64>(),
-    ) {
-        let d = dataset(&rows);
-        let f = RandomForest::fit(
-            &d,
-            ForestParams { n_trees: 10, ..Default::default() },
-            seed,
+        let (lo, hi) = target_range(&d);
+        let p = t.predict(&probe(&mut rng));
+        assert!(
+            p >= lo - 1e-9 && p <= hi + 1e-9,
+            "seed {seed}: {p} outside [{lo}, {hi}]"
         );
-        let lo = rows.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
-        let hi = rows.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
-        let p = f.predict(&probe);
-        prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9);
     }
+}
 
-    #[test]
-    fn forest_importances_are_a_distribution(
-        rows in arb_rows(4, 5..40),
-        seed in any::<u64>(),
-    ) {
-        let d = dataset(&rows);
-        let f = RandomForest::fit(&d, ForestParams { n_trees: 8, ..Default::default() }, seed);
-        let imp = f.importances();
-        prop_assert_eq!(imp.len(), 4);
-        for &v in &imp {
-            prop_assert!(v >= 0.0);
-        }
-        let total: f64 = imp.iter().sum();
-        prop_assert!(total.abs() < 1e-9 || (total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn split_is_a_partition(rows in arb_rows(2, 2..100), frac in 0.1f64..0.9, seed in any::<u64>()) {
-        let d = dataset(&rows);
+#[test]
+fn forest_prediction_within_target_range() {
+    for seed in 0..64u64 {
         let mut rng = SimRng::new(seed);
+        let d = dataset(&mut rng, 3, 2..40);
+        let params = ForestParams {
+            n_trees: 10,
+            ..Default::default()
+        };
+        let f = RandomForest::fit(&d, params, rng.next_u64());
+        let (lo, hi) = target_range(&d);
+        let p = f.predict(&probe(&mut rng));
+        assert!(
+            p >= lo - 1e-9 && p <= hi + 1e-9,
+            "seed {seed}: {p} outside [{lo}, {hi}]"
+        );
+    }
+}
+
+#[test]
+fn forest_importances_are_a_distribution() {
+    for seed in 0..64u64 {
+        let mut rng = SimRng::new(seed);
+        let d = dataset(&mut rng, 4, 5..40);
+        let params = ForestParams {
+            n_trees: 8,
+            ..Default::default()
+        };
+        let imp = RandomForest::fit(&d, params, rng.next_u64()).importances();
+        assert_eq!(imp.len(), 4, "seed {seed}");
+        assert!(imp.iter().all(|&v| v >= 0.0), "seed {seed}: {imp:?}");
+        let total: f64 = imp.iter().sum();
+        assert!(
+            total.abs() < 1e-9 || (total - 1.0).abs() < 1e-9,
+            "seed {seed}: sum {total}"
+        );
+    }
+}
+
+#[test]
+fn split_is_a_partition() {
+    for seed in 0..128u64 {
+        let mut rng = SimRng::new(seed);
+        let d = dataset(&mut rng, 2, 2..100);
+        let frac = 0.1 + rng.f64() * 0.8;
         let (train, test) = d.split(frac, &mut rng);
-        prop_assert_eq!(train.len() + test.len(), d.len());
-        // Target multiset is preserved.
+        assert_eq!(train.len() + test.len(), d.len(), "seed {seed}");
+        // The target multiset is preserved.
         let mut all: Vec<f64> = train.targets().to_vec();
         all.extend_from_slice(test.targets());
         all.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mut orig: Vec<f64> = d.targets().to_vec();
         orig.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(all, orig);
+        assert_eq!(all, orig, "seed {seed}");
     }
+}
 
-    #[test]
-    fn scaler_transform_roundtrips_statistics(rows in arb_rows(2, 3..80)) {
-        let d = dataset(&rows);
-        let sc = Scaler::fit(&d);
-        let t = sc.transform_dataset(&d);
+#[test]
+fn scaler_transform_roundtrips_statistics() {
+    for seed in 0..128u64 {
+        let mut rng = SimRng::new(seed);
+        let d = dataset(&mut rng, 2, 3..80);
+        let t = Scaler::fit(&d).transform_dataset(&d);
         for j in 0..2 {
-            let col: Vec<f64> = (0..t.len()).map(|i| t.row(i)[j]).collect();
-            let mean: f64 = col.iter().sum::<f64>() / col.len() as f64;
-            prop_assert!(mean.abs() < 1e-6, "column {j} mean {mean}");
+            let mean = (0..t.len()).map(|i| t.row(i)[j]).sum::<f64>() / t.len() as f64;
+            assert!(mean.abs() < 1e-6, "seed {seed}: column {j} mean {mean}");
         }
     }
+}
 
-    #[test]
-    fn tree_fits_training_data_exactly_with_unbounded_depth(
-        rows in arb_rows(1, 1..40),
-        seed in any::<u64>(),
-    ) {
-        // Distinct x values => a deep tree with min_leaf 1 memorises them.
-        let mut xs: Vec<f64> = rows.iter().map(|r| r.0[0]).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        xs.dedup();
-        prop_assume!(xs.len() == rows.len());
-        let d = dataset(&rows);
+#[test]
+fn tree_fits_training_data_exactly_with_unbounded_depth() {
+    for seed in 0..128u64 {
         let mut rng = SimRng::new(seed);
-        let t = RegressionTree::fit(
-            &d,
-            TreeParams { max_depth: 64, min_samples_leaf: 1, mtry: 1 },
-            &mut rng,
-        );
-        for (x, y) in &rows {
-            prop_assert!((t.predict(x) - y).abs() < 1e-9);
+        // Distinct x values (continuous draws), so a deep tree with
+        // min_samples_leaf 1 memorises every row.
+        let d = dataset(&mut rng, 1, 1..40);
+        let params = TreeParams {
+            max_depth: 64,
+            min_samples_leaf: 1,
+            mtry: 1,
+        };
+        let t = RegressionTree::fit(&d, params, &mut rng);
+        for i in 0..d.len() {
+            let (p, y) = (t.predict(d.row(i)), d.targets()[i]);
+            assert!(
+                (p - y).abs() < 1e-9,
+                "seed {seed}: row {i} predicts {p}, target {y}"
+            );
         }
     }
 }

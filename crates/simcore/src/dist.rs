@@ -2,9 +2,9 @@
 //!
 //! Implemented directly on [`SimRng`] rather than pulling
 //! in `rand_distr`, keeping the dependency surface to the offline-approved
-//! set while still covering everything the reproduction needs: Gaussian
-//! metric noise, log-normal service times, exponential inter-arrival gaps,
-//! and Zipf-like popularity skew for function invocation frequencies.
+//! set while still covering everything the reproduction needs: log-normal
+//! metric noise (from a standard normal) and exponential inter-arrival
+//! gaps.
 
 use crate::rng::SimRng;
 
@@ -44,52 +44,6 @@ pub fn exponential(rng: &mut SimRng, lambda: f64) -> f64 {
     debug_assert!(lambda > 0.0);
     // 1 - f64() is in (0, 1], so ln() is finite.
     -(1.0 - rng.f64()).ln() / lambda
-}
-
-/// Zipf sampler over ranks `1..=n` with exponent `s`.
-///
-/// Precomputes the CDF once; sampling is a binary search. Used to skew
-/// invocation popularity across functions the way the Azure characterization
-/// reports (a few hot functions dominate invocations).
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Build a Zipf distribution over `n` ranks with exponent `s >= 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Self { cdf }
-    }
-
-    /// Sample a rank in `[0, n)` (0-based).
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        // partition_point returns the count of entries < u, i.e. the first
-        // index whose cumulative mass reaches u.
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the distribution is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -139,39 +93,5 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| exponential(&mut r, 0.5)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn zipf_rank_zero_most_popular() {
-        let z = Zipf::new(20, 1.1);
-        let mut r = rng();
-        let mut counts = [0usize; 20];
-        for _ in 0..50_000 {
-            counts[z.sample(&mut r)] += 1;
-        }
-        assert!(counts[0] > counts[5]);
-        assert!(counts[5] > counts[19]);
-    }
-
-    #[test]
-    fn zipf_uniform_when_s_zero() {
-        let z = Zipf::new(10, 0.0);
-        let mut r = rng();
-        let mut counts = vec![0usize; 10];
-        for _ in 0..100_000 {
-            counts[z.sample(&mut r)] += 1;
-        }
-        let max = *counts.iter().max().unwrap() as f64;
-        let min = *counts.iter().min().unwrap() as f64;
-        assert!(max / min < 1.1, "should be near-uniform: {counts:?}");
-    }
-
-    #[test]
-    fn zipf_single_rank() {
-        let z = Zipf::new(1, 2.0);
-        let mut r = rng();
-        for _ in 0..100 {
-            assert_eq!(z.sample(&mut r), 0);
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! * [`rng`] — a seedable, splittable `xoshiro256**` generator so that every
 //!   experiment in the reproduction is bit-for-bit repeatable.
 //! * [`dist`] — the handful of distributions the simulator needs (standard
-//!   normal, log-normal, exponential, Zipf) implemented directly on top of
+//!   normal, log-normal, exponential) implemented directly on top of
 //!   the local RNG to keep the dependency surface small.
 //! * [`stats`] — summary statistics (Welford online moments, percentiles,
 //!   CDFs, coefficient of variation) used both by the metric collector and by

@@ -1,13 +1,12 @@
-//! Property tests for the simulation substrate.
-//!
-//! The seeded differential test below runs everywhere. The
-//! property-based suites need the crates.io `proptest` crate, which this
-//! offline workspace cannot fetch; they compile only when the crate's
-//! `proptest` feature is enabled (see Cargo.toml).
+//! Property tests for the simulation substrate. Each test loops over
+//! seeds, draws its cases from `SimRng::new(seed)` and names the seed in
+//! every assert message, so a failure replays from its seed alone.
 
+use simcore::stats::{percentile, Cdf, OnlineStats};
 use simcore::{EventId, EventQueue, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// The queue as the engine used it before timers were cancellable: a
 /// binary heap that never removes an entry. Re-timing pushes a fresh entry
@@ -102,111 +101,133 @@ fn cancellable_queue_matches_the_stale_skipping_heap() {
     }
 }
 
-#[cfg(feature = "proptest")]
-mod proptests {
-    use proptest::prelude::*;
-    use simcore::stats::{percentile, Cdf, OnlineStats};
-    use simcore::{EventQueue, SimRng, SimTime};
+/// `len` in `lens`, each value uniform in `[lo, hi)`.
+fn values(rng: &mut SimRng, lens: Range<usize>, lo: f64, hi: f64) -> Vec<f64> {
+    let len = lens.start + rng.index(lens.len());
+    (0..len).map(|_| lo + rng.f64() * (hi - lo)).collect()
+}
 
-    proptest! {
-        #[test]
-        fn percentile_bounded_by_extremes(
-            mut v in prop::collection::vec(-1e6f64..1e6, 1..200),
-            p in 0.0f64..100.0,
-        ) {
-            let q = percentile(&v, p);
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            prop_assert!(q >= v[0] - 1e-9);
-            prop_assert!(q <= v[v.len() - 1] + 1e-9);
-        }
+#[test]
+fn percentile_bounded_by_extremes() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let mut v = values(&mut rng, 1..200, -1e6, 1e6);
+        let p = rng.f64() * 100.0;
+        let q = percentile(&v, p);
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert!(
+            q >= v[0] - 1e-9,
+            "seed {seed}: p{p} = {q} below min {}",
+            v[0]
+        );
+        let max = v[v.len() - 1];
+        assert!(q <= max + 1e-9, "seed {seed}: p{p} = {q} above max {max}");
+    }
+}
 
-        #[test]
-        fn percentile_monotone_in_p(
-            v in prop::collection::vec(-1e6f64..1e6, 1..100),
-            p1 in 0.0f64..100.0,
-            p2 in 0.0f64..100.0,
-        ) {
-            let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(percentile(&v, lo) <= percentile(&v, hi) + 1e-9);
-        }
+#[test]
+fn percentile_monotone_in_p() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let v = values(&mut rng, 1..100, -1e6, 1e6);
+        let (p1, p2) = (rng.f64() * 100.0, rng.f64() * 100.0);
+        let (lo, hi) = (p1.min(p2), p1.max(p2));
+        let (q_lo, q_hi) = (percentile(&v, lo), percentile(&v, hi));
+        assert!(
+            q_lo <= q_hi + 1e-9,
+            "seed {seed}: p{lo} = {q_lo} > p{hi} = {q_hi}"
+        );
+    }
+}
 
-        #[test]
-        fn online_stats_merge_equals_sequential(
-            a in prop::collection::vec(-1e3f64..1e3, 0..100),
-            b in prop::collection::vec(-1e3f64..1e3, 0..100),
-        ) {
-            let mut whole = OnlineStats::new();
-            for &x in a.iter().chain(&b) {
-                whole.push(x);
-            }
-            let mut left = OnlineStats::new();
-            for &x in &a {
-                left.push(x);
-            }
-            let mut right = OnlineStats::new();
-            for &x in &b {
-                right.push(x);
-            }
-            left.merge(&right);
-            prop_assert_eq!(left.count(), whole.count());
-            prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((left.variance() - whole.variance()).abs() < 1e-4);
+#[test]
+fn online_stats_merge_equals_sequential() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let a = values(&mut rng, 0..100, -1e3, 1e3);
+        let b = values(&mut rng, 0..100, -1e3, 1e3);
+        let mut whole = OnlineStats::new();
+        let mut left = OnlineStats::new();
+        let mut right = OnlineStats::new();
+        for &x in &a {
+            whole.push(x);
+            left.push(x);
         }
+        for &x in &b {
+            whole.push(x);
+            right.push(x);
+        }
+        left.merge(&right);
+        assert_eq!(left.count(), whole.count(), "seed {seed}: count");
+        let (m, w) = (left.mean(), whole.mean());
+        assert!((m - w).abs() < 1e-6, "seed {seed}: mean {m} vs {w}");
+        let (m, w) = (left.variance(), whole.variance());
+        assert!((m - w).abs() < 1e-4, "seed {seed}: variance {m} vs {w}");
+    }
+}
 
-        #[test]
-        fn cdf_is_monotone_and_normalised(
-            v in prop::collection::vec(-1e6f64..1e6, 1..200),
-            probes in prop::collection::vec(-1e6f64..1e6, 2..20),
-        ) {
-            let cdf = Cdf::new(v);
-            let mut sorted = probes.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mut prev = 0.0;
-            for &x in &sorted {
-                let f = cdf.at(x);
-                prop_assert!((0.0..=1.0).contains(&f));
-                prop_assert!(f >= prev - 1e-12);
-                prev = f;
-            }
+#[test]
+fn cdf_is_monotone_and_normalised() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let cdf = Cdf::new(values(&mut rng, 1..200, -1e6, 1e6));
+        let mut probes = values(&mut rng, 2..20, -1e6, 1e6);
+        probes.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut prev = 0.0;
+        for &x in &probes {
+            let f = cdf.at(x);
+            assert!((0.0..=1.0).contains(&f), "seed {seed}: F({x}) = {f}");
+            assert!(f >= prev - 1e-12, "seed {seed}: F({x}) = {f} < {prev}");
+            prev = f;
         }
+    }
+}
 
-        #[test]
-        fn rng_index_always_in_range(seed in any::<u64>(), n in 1usize..10_000) {
-            let mut rng = SimRng::new(seed);
-            for _ in 0..100 {
-                prop_assert!(rng.index(n) < n);
-            }
+#[test]
+fn rng_index_always_in_range() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let n = 1 + rng.index(9_999);
+        let mut under_test = SimRng::new(rng.next_u64());
+        for _ in 0..100 {
+            let i = under_test.index(n);
+            assert!(i < n, "seed {seed}: index({n}) = {i}");
         }
+    }
+}
 
-        #[test]
-        fn rng_sample_indices_distinct(seed in any::<u64>(), n in 1usize..500, k in 0usize..500) {
-            let mut rng = SimRng::new(seed);
-            let s = rng.sample_indices(n, k);
-            prop_assert_eq!(s.len(), k.min(n));
-            let mut d = s.clone();
-            d.sort_unstable();
-            d.dedup();
-            prop_assert_eq!(d.len(), s.len());
-        }
+#[test]
+fn rng_sample_indices_distinct() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        let (n, k) = (1 + rng.index(499), rng.index(500));
+        let mut under_test = SimRng::new(rng.next_u64());
+        let s = under_test.sample_indices(n, k);
+        assert_eq!(s.len(), k.min(n), "seed {seed}: n {n}, k {k}");
+        let mut d = s.clone();
+        d.sort_unstable();
+        d.dedup();
+        assert_eq!(d.len(), s.len(), "seed {seed}: repeated index");
+        assert!(
+            d.iter().all(|&i| i < n),
+            "seed {seed}: index out of [0, {n})"
+        );
+    }
+}
 
-        #[test]
-        fn event_queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime(t), i);
-            }
-            let mut prev = SimTime::ZERO;
-            while let Some((at, _)) = q.pop() {
-                prop_assert!(at >= prev);
-                prev = at;
-            }
-        }
-
-        #[test]
-        fn simtime_roundtrip(us in 0u64..u64::MAX / 2) {
-            let t = SimTime::from_micros(us);
-            prop_assert_eq!(t.as_micros(), us);
-            prop_assert!((t.as_secs() - us as f64 / 1e6).abs() < 1e-9 * (1.0 + us as f64 / 1e6));
-        }
+#[test]
+fn simtime_roundtrip() {
+    for seed in 0..256u64 {
+        let mut rng = SimRng::new(seed);
+        // Half the cases span the whole range, half stay below an hour.
+        let us = rng.next_u64() >> (1 + 31 * rng.index(2) as u32);
+        let t = SimTime::from_micros(us);
+        assert_eq!(t.as_micros(), us, "seed {seed}");
+        let secs = us as f64 / 1e6;
+        assert!(
+            (t.as_secs() - secs).abs() < 1e-9 * (1.0 + secs),
+            "seed {seed}: {us} us reads {} s",
+            t.as_secs()
+        );
     }
 }

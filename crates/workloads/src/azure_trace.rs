@@ -2,14 +2,11 @@
 //!
 //! The paper replays invocation rates from the Azure Functions 2019
 //! production trace ("invocations per hour illustrate diurnal and weekly
-//! patterns", §6.1) and cites its characterization repeatedly: 50 % of
-//! invocations run < 1 s, 96 % of functions average < 60 s, 90 % of
-//! functions never request more than 400 MB. The trace itself is not
-//! redistributable here, so this module generates rates and duration/memory
-//! samples matching those published statistics (the DESIGN.md substitution).
+//! patterns", §6.1). The trace itself is not redistributable here, so this
+//! module generates rates with that published diurnal and weekly shape (the
+//! DESIGN.md substitution).
 
-use simcore::dist::lognormal;
-use simcore::{SimRng, SimTime};
+use simcore::SimTime;
 
 /// Seconds per simulated day.
 const DAY_SECS: f64 = 86_400.0;
@@ -67,34 +64,6 @@ impl RateProfile {
     }
 }
 
-/// Samplers for the published per-function statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AzureFunctionStats;
-
-impl AzureFunctionStats {
-    /// Sample an execution duration.
-    ///
-    /// Log-normal fitted to the characterization: median 1 s (50 % of
-    /// invocations < 1 s) and P96 ≈ 60 s ⇒ `mu = 0`, `sigma = ln(60)/1.75`.
-    pub fn sample_duration(rng: &mut SimRng) -> SimTime {
-        let sigma = 60.0f64.ln() / 1.75;
-        let secs = lognormal(rng, 0.0, sigma);
-        // Azure caps executions; AWS Lambda's cap (also cited) is 900 s.
-        SimTime::from_secs(secs.min(900.0))
-    }
-
-    /// Sample a memory allocation in GB.
-    ///
-    /// Log-normal fitted to: 50 % of apps allocated ≤ 170 MB, 90 % never
-    /// above 400 MB ⇒ median 0.17 GB, P90 = 0.4 GB ⇒
-    /// `sigma = ln(0.4/0.17)/1.2816`.
-    pub fn sample_memory_gb(rng: &mut SimRng) -> f64 {
-        let mu = 0.17f64.ln();
-        let sigma = (0.4f64 / 0.17).ln() / 1.2816;
-        lognormal(rng, mu, sigma).min(3.0) // AWS Lambda's 3 GB cap (§1).
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,49 +89,6 @@ mod tests {
         let p = RateProfile::constant(42.0);
         for h in 0..48 {
             assert_eq!(p.rate_at(SimTime::from_secs(h as f64 * 3600.0)), 42.0);
-        }
-    }
-
-    #[test]
-    fn duration_distribution_matches_characterization() {
-        let mut rng = SimRng::new(7);
-        let n = 50_000;
-        let mut under_1s = 0;
-        let mut under_60s = 0;
-        for _ in 0..n {
-            let d = AzureFunctionStats::sample_duration(&mut rng).as_secs();
-            if d < 1.0 {
-                under_1s += 1;
-            }
-            if d < 60.0 {
-                under_60s += 1;
-            }
-        }
-        let p50 = under_1s as f64 / n as f64;
-        let p96 = under_60s as f64 / n as f64;
-        assert!((p50 - 0.5).abs() < 0.02, "P(d<1s) = {p50}");
-        assert!((p96 - 0.96).abs() < 0.01, "P(d<60s) = {p96}");
-    }
-
-    #[test]
-    fn memory_distribution_matches_characterization() {
-        let mut rng = SimRng::new(9);
-        let n = 50_000;
-        let mut under_400mb = 0;
-        for _ in 0..n {
-            if AzureFunctionStats::sample_memory_gb(&mut rng) <= 0.4 {
-                under_400mb += 1;
-            }
-        }
-        let p90 = under_400mb as f64 / n as f64;
-        assert!((p90 - 0.9).abs() < 0.02, "P(mem<400MB) = {p90}");
-    }
-
-    #[test]
-    fn durations_capped_at_900s() {
-        let mut rng = SimRng::new(11);
-        for _ in 0..100_000 {
-            assert!(AzureFunctionStats::sample_duration(&mut rng).as_secs() <= 900.0);
         }
     }
 }

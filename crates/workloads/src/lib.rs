@@ -18,9 +18,6 @@
 //! * [`azure_trace`] — diurnal/weekly invocation-rate generation matching
 //!   the published Azure characterization.
 //! * [`loadgen`] — the open-loop load generator of paper §6.4.
-//! * [`population`] — synthetic function populations drawn from the Azure
-//!   duration/memory distributions, for high-density scale tests.
-
 //!
 //! # Examples
 //!
@@ -43,7 +40,6 @@ pub mod ecommerce;
 pub mod function;
 pub mod functionbench;
 pub mod loadgen;
-pub mod population;
 pub mod socialnetwork;
 
 pub use class::WorkloadClass;

@@ -1,118 +1,127 @@
-// Property-based suites need the crates.io `proptest` crate, which this
-// offline workspace cannot fetch; the whole file is compiled only when the
-// crate's `proptest` feature is enabled (see Cargo.toml).
-#![cfg(feature = "proptest")]
+//! Property tests for call-graph analysis invariants. Each test loops over
+//! seeds, draws a random DAG from `SimRng::new(seed)` and names the seed in
+//! every assert message.
 
-//! Property-based tests for call-graph analysis invariants.
-
-use proptest::prelude::*;
-use simcore::SimTime;
+use simcore::{SimRng, SimTime};
 use workloads::dag::{CallGraph, CallKind};
 use workloads::function::{FunctionSpec, PhaseSpec};
+use workloads::NodeId;
 
-fn func(name: String, ms: u64) -> FunctionSpec {
-    FunctionSpec::single_phase(
-        name,
-        PhaseSpec {
-            duration: SimTime::from_micros(ms * 1000),
-            demand: cluster::Demand::new(0.5, 1.0, 1.0, 0.0, 0.0, 0.25),
-            bounded: cluster::Boundedness::cpu_bound(),
-            sens: cluster::Sensitivity::new(1.0, 1.0, 0.5),
-            micro: cluster::microarch::MicroarchBaseline::generic(),
-        },
-    )
-}
+const CASES: u64 = 512;
 
-/// Build a random DAG: node i may link to node j > i (keeps it acyclic).
-fn arb_dag() -> impl Strategy<Value = (CallGraph, Vec<u64>)> {
-    (2usize..10)
-        .prop_flat_map(|n| {
-            (
-                prop::collection::vec(1u64..500, n..=n),
-                prop::collection::vec(any::<bool>(), n * (n - 1) / 2..=n * (n - 1) / 2),
-                prop::collection::vec(any::<bool>(), n * (n - 1) / 2..=n * (n - 1) / 2),
-            )
+/// A random DAG of 2–9 functions lasting 1–499 ms each, and those
+/// durations. Node `i` may call node `j > i`, which keeps it acyclic.
+fn random_dag(rng: &mut SimRng) -> (CallGraph, Vec<u64>) {
+    let n = 2 + rng.index(8);
+    let durations: Vec<u64> = (0..n).map(|_| 1 + rng.index(499) as u64).collect();
+    let mut g = CallGraph::new();
+    let ids: Vec<NodeId> = durations
+        .iter()
+        .enumerate()
+        .map(|(i, &ms)| {
+            let phase = PhaseSpec {
+                duration: SimTime::from_micros(ms * 1000),
+                demand: cluster::Demand::new(0.5, 1.0, 1.0, 0.0, 0.0, 0.25),
+                bounded: cluster::Boundedness::cpu_bound(),
+                sens: cluster::Sensitivity::new(1.0, 1.0, 0.5),
+                micro: cluster::microarch::MicroarchBaseline::generic(),
+            };
+            g.add(FunctionSpec::single_phase(format!("f{i}"), phase))
         })
-        .prop_map(|(durations, edges, kinds)| {
-            let n = durations.len();
-            let mut g = CallGraph::new();
-            let ids: Vec<_> = durations
-                .iter()
-                .enumerate()
-                .map(|(i, &ms)| g.add(func(format!("f{i}"), ms)))
-                .collect();
-            let mut e = 0;
-            let mut has_nested_parent = vec![false; n];
-            let mut has_async_parent = vec![false; n];
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if edges[e] {
-                        // Respect the platform's constraint: a node has
-                        // either async parents or one nested parent.
-                        let nested = kinds[e] && !has_async_parent[j] && !has_nested_parent[j];
-                        if nested {
-                            g.link(ids[i], ids[j], CallKind::Nested);
-                            has_nested_parent[j] = true;
-                        } else if !has_nested_parent[j] {
-                            g.link(ids[i], ids[j], CallKind::Async);
-                            has_async_parent[j] = true;
-                        }
-                    }
-                    e += 1;
-                }
+        .collect();
+    let mut has_nested_parent = vec![false; n];
+    let mut has_async_parent = vec![false; n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let (edge, nested) = (rng.chance(0.5), rng.chance(0.5));
+            if !edge || has_nested_parent[j] {
+                continue;
             }
-            (g, durations)
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn critical_path_bounded((g, durations) in arb_dag()) {
-        let total: u64 = durations.iter().sum();
-        let longest = *durations.iter().max().unwrap();
-        let cp = g.critical_path_duration().as_millis();
-        prop_assert!(cp >= longest as f64 - 1e-9, "cp {cp} < longest node {longest}");
-        prop_assert!(cp <= total as f64 + 1e-9, "cp {cp} > serial total {total}");
-    }
-
-    #[test]
-    fn topo_order_is_valid((g, _) in arb_dag()) {
-        let order = g.topo_order().expect("acyclic by construction");
-        prop_assert_eq!(order.len(), g.len());
-        let pos: std::collections::HashMap<_, _> =
-            order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        for id in g.ids() {
-            for &(child, _) in g.children(id) {
-                prop_assert!(pos[&id] < pos[&child]);
+            // The platform's constraint: a node has either async parents
+            // or one nested parent.
+            if nested && !has_async_parent[j] {
+                g.link(ids[i], ids[j], CallKind::Nested);
+                has_nested_parent[j] = true;
+            } else {
+                g.link(ids[i], ids[j], CallKind::Async);
+                has_async_parent[j] = true;
             }
         }
     }
+    (g, durations)
+}
 
-    #[test]
-    fn solo_schedule_consistent((g, _) in arb_dag()) {
+#[test]
+fn critical_path_bounded() {
+    for seed in 0..CASES {
+        let (g, durations) = random_dag(&mut SimRng::new(seed));
+        let total: u64 = durations.iter().sum();
+        let longest = *durations.iter().max().unwrap();
+        let cp = g.critical_path_duration().as_millis();
+        assert!(
+            cp >= longest as f64 - 1e-9,
+            "seed {seed}: cp {cp} < longest node {longest}"
+        );
+        assert!(
+            cp <= total as f64 + 1e-9,
+            "seed {seed}: cp {cp} > serial total {total}"
+        );
+    }
+}
+
+#[test]
+fn topo_order_is_valid() {
+    for seed in 0..CASES {
+        let (g, _) = random_dag(&mut SimRng::new(seed));
+        let order = g.topo_order().expect("acyclic by construction");
+        assert_eq!(order.len(), g.len(), "seed {seed}");
+        let mut pos = vec![usize::MAX; g.len()];
+        for (i, id) in order.iter().enumerate() {
+            pos[id.0] = i;
+        }
+        for id in g.ids() {
+            for &(child, _) in g.children(id) {
+                assert!(
+                    pos[id.0] < pos[child.0],
+                    "seed {seed}: {id:?} after {child:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn solo_schedule_consistent() {
+    for seed in 0..CASES {
+        let (g, _) = random_dag(&mut SimRng::new(seed));
         let t = g.solo_schedule();
         for (i, timing) in t.iter().enumerate() {
-            prop_assert!(timing.service_end >= timing.start);
-            prop_assert!(timing.completion >= timing.service_end);
+            assert!(timing.service_end >= timing.start, "seed {seed}: node {i}");
+            assert!(
+                timing.completion >= timing.service_end,
+                "seed {seed}: node {i}"
+            );
             // A child never starts before its gate.
-            for &(p, kind) in g.parents(workloads::NodeId(i)) {
+            for &(p, kind) in g.parents(NodeId(i)) {
                 let gate = match kind {
                     CallKind::Async => t[p.0].completion,
                     CallKind::Nested => t[p.0].service_end,
                 };
-                prop_assert!(timing.start >= gate);
+                assert!(
+                    timing.start >= gate,
+                    "seed {seed}: node {i} starts before {p:?}"
+                );
             }
         }
     }
+}
 
-    #[test]
-    fn critical_path_nodes_exist((g, _) in arb_dag()) {
+#[test]
+fn critical_path_nodes_exist() {
+    for seed in 0..CASES {
+        let (g, _) = random_dag(&mut SimRng::new(seed));
         let cp = g.critical_path();
-        prop_assert!(!cp.is_empty());
-        for id in cp {
-            prop_assert!(id.0 < g.len());
-        }
+        assert!(!cp.is_empty(), "seed {seed}");
+        assert!(cp.iter().all(|id| id.0 < g.len()), "seed {seed}: {cp:?}");
     }
 }
