@@ -26,7 +26,7 @@
 //! verifies every surviving record against the regenerated run.
 
 use experiments::journal_runs;
-use experiments::{all_experiments, RunOpts};
+use experiments::{all_experiments, Experiment, RunOpts};
 use obs::json::Json;
 use std::path::{Path, PathBuf};
 
@@ -82,6 +82,26 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
     }
     Ok(cli)
+}
+
+/// The experiments `ids` name, in registry order; every experiment when
+/// `ids` is empty. Fails with the ids that match no experiment.
+fn select<'a>(
+    experiments: &'a [Experiment],
+    ids: &[String],
+) -> Result<Vec<&'a Experiment>, Vec<String>> {
+    let unknown: Vec<String> = ids
+        .iter()
+        .filter(|id| !experiments.iter().any(|e| e.id == id.as_str()))
+        .cloned()
+        .collect();
+    if !unknown.is_empty() {
+        return Err(unknown);
+    }
+    Ok(experiments
+        .iter()
+        .filter(|e| ids.is_empty() || ids.iter().any(|id| id == e.id))
+        .collect())
 }
 
 /// `(suffix, contents)` pairs a replay must reproduce, in diff order.
@@ -185,19 +205,6 @@ fn cmd_resume(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// One `train_throughput` measurement as its `BENCH_repro.json` object.
-fn train_json(m: &experiments::fig14::TrainThroughput) -> Json {
-    Json::obj()
-        .field("rows", m.rows)
-        .field("dim", m.dim)
-        .field("trees", m.trees)
-        .field("reference_rows_per_s", m.reference_rows_per_s)
-        .field("kernel_rows_per_s", m.kernel_rows_per_s)
-        .field("kernel_speedup", m.kernel_speedup)
-        .field("threads", m.threads)
-        .field("bit_identical", m.bit_identical)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
@@ -233,14 +240,13 @@ fn main() {
         }
         return;
     }
-    let selected: Vec<_> = experiments
-        .iter()
-        .filter(|e| cli.ids.is_empty() || cli.ids.iter().any(|id| id == e.id))
-        .collect();
-    if selected.is_empty() {
-        eprintln!("no experiment matches {:?}; try --list", cli.ids);
-        std::process::exit(1);
-    }
+    let selected = match select(&experiments, &cli.ids) {
+        Ok(s) => s,
+        Err(unknown) => {
+            eprintln!("no experiment matches {unknown:?}; try --list; {USAGE}");
+            std::process::exit(2);
+        }
+    };
     println!(
         "# Gsight reproduction — {} mode{}\n",
         if cli.opts.quick { "quick" } else { "full" },
@@ -270,117 +276,15 @@ fn main() {
                 .field("metrics", metrics),
         );
     }
-    // Headline perf section: sequential vs batched predictor throughput on
-    // the paper-shaped model (independent of which experiments were
-    // selected, so perf trackers can always key on it).
-    let tp = experiments::fig14::predict_throughput(cli.opts.quick);
-    println!(
-        "predict throughput: {:.0} rows/s sequential, {:.0} rows/s batched \
-         ({:.2}x, bit-identical: {})",
-        tp.seq_rows_per_s, tp.batch_rows_per_s, tp.speedup, tp.bitwise_equal
-    );
-    // Training-kernel throughput: presorted column-major kernel vs the
-    // exhaustive reference split search, same forest from the same seed, at
-    // the standard size and at IRFR's online refresh size.
-    let tt = experiments::fig14::train_throughput(cli.opts.quick);
-    let irfr = experiments::fig14::train_throughput_irfr();
-    for (label, m) in [
-        ("train throughput", &tt),
-        ("train throughput (irfr)", &irfr),
-    ] {
-        println!(
-            "{label}: {} x {} x {} trees, {:.0} rows/s reference, {:.0} rows/s kernel \
-             ({:.2}x, {} thread(s), bit-identical: {})",
-            m.rows,
-            m.dim,
-            m.trees,
-            m.reference_rows_per_s,
-            m.kernel_rows_per_s,
-            m.kernel_speedup,
-            m.threads,
-            m.bit_identical
-        );
-    }
-    // Event-engine serving rate on the chaos point across cluster sizes.
-    let et = experiments::engine_throughput::engine_throughput(cli.opts.quick);
-    for p in &et.points {
-        println!(
-            "engine throughput: {} servers, {} requests, {} events, {:.0} requests/s, \
-             {:.0} events/s",
-            p.servers, p.completions, p.events, p.requests_per_s, p.events_per_s
-        );
-    }
-    // Journal economics on the full-length chaos point: write overhead of
-    // journaling on vs off (asserted within budget by the bench itself),
-    // and replay-by-fold speedup vs re-simulation.
-    let jb = journal_runs::journal_bench();
-    println!(
-        "journal replay: {} records / {} bytes, write overhead {:.1}% \
-         (budget {:.0}%), replay {:.0}x faster than re-simulation, \
-         bit-identical: {}",
-        jb.records,
-        jb.journal_bytes,
-        jb.write_overhead_pct,
-        jb.write_overhead_budget_pct,
-        jb.replay_speedup,
-        jb.bit_identical
-    );
     let bench = Json::obj()
         .field("mode", if cli.opts.quick { "quick" } else { "full" })
         .field("total_wall_s", suite_start.elapsed().as_secs_f64())
-        .field(
-            "predict_throughput",
-            Json::obj()
-                .field("rows", tp.rows)
-                .field("seq_rows_per_s", tp.seq_rows_per_s)
-                .field("batch_rows_per_s", tp.batch_rows_per_s)
-                .field("speedup", tp.speedup)
-                .field("bitwise_equal", tp.bitwise_equal),
-        )
-        .field(
-            "train_throughput",
-            train_json(&tt).field("irfr", train_json(&irfr)),
-        )
-        .field(
-            "engine_throughput",
-            Json::obj().field(
-                "topologies",
-                Json::Arr(
-                    et.points
-                        .iter()
-                        .map(|p| {
-                            Json::obj()
-                                .field("servers", p.servers)
-                                .field("events", p.events)
-                                .field("completions", p.completions)
-                                .field("wall_s", p.wall_s)
-                                .field("events_per_s", p.events_per_s)
-                                .field("requests_per_s", p.requests_per_s)
-                        })
-                        .collect(),
-                ),
-            ),
-        )
-        .field(
-            "journal_replay",
-            Json::obj()
-                .field("journal_bytes", jb.journal_bytes)
-                .field("records", jb.records)
-                .field("checkpoints", jb.checkpoints)
-                .field("baseline_wall_s", jb.baseline_wall_s)
-                .field("journaled_wall_s", jb.journaled_wall_s)
-                .field("write_overhead_pct", jb.write_overhead_pct)
-                .field("write_overhead_budget_pct", jb.write_overhead_budget_pct)
-                .field("within_budget", jb.within_budget)
-                .field("replay_wall_s", jb.replay_wall_s)
-                .field("replay_speedup", jb.replay_speedup)
-                .field("bit_identical", jb.bit_identical),
-        )
         .field("experiments", Json::Arr(bench_entries));
-    match std::fs::write(&cli.json_path, bench.render() + "\n") {
-        Ok(()) => println!("machine-readable summary -> {}", cli.json_path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", cli.json_path.display()),
+    if let Err(e) = std::fs::write(&cli.json_path, bench.render() + "\n") {
+        eprintln!("could not write {}: {e}", cli.json_path.display());
+        std::process::exit(1);
     }
+    println!("machine-readable summary -> {}", cli.json_path.display());
 }
 
 #[cfg(test)]
@@ -422,5 +326,34 @@ mod tests {
         assert_eq!(cli.opts.trace_dir, None);
         assert_eq!(cli.json_path, PathBuf::from("BENCH_repro.json"));
         assert_eq!(cli.ids, ["fig4"]);
+    }
+
+    #[test]
+    fn ids_select_experiments_in_registry_order() {
+        let exps = all_experiments();
+        let ids = |args: &[&str]| -> Vec<String> { args.iter().map(|a| a.to_string()).collect() };
+        let picked = |args: &[&str]| -> Vec<&str> {
+            select(&exps, &ids(args))
+                .unwrap()
+                .iter()
+                .map(|e| e.id)
+                .collect()
+        };
+        assert_eq!(picked(&[]).len(), exps.len());
+        assert_eq!(picked(&["fig14", "fig4"]), ["fig4", "fig14"]);
+        assert_eq!(picked(&["fig4", "fig4"]), ["fig4"]);
+    }
+
+    #[test]
+    fn unknown_ids_are_named() {
+        let exps = all_experiments();
+        for (args, want) in [
+            (&["fig4", "nosuch"][..], &["nosuch"][..]),
+            (&["nosuch"], &["nosuch"]),
+            (&["fig", "fig4", "FIG4"], &["fig", "FIG4"]),
+        ] {
+            let ids: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            assert_eq!(select(&exps, &ids).err().unwrap(), want, "{args:?}");
+        }
     }
 }

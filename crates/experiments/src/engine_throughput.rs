@@ -36,7 +36,7 @@ fn bench_point() -> SweepPoint {
 }
 
 /// One topology's measurement (best of `REPS` runs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TopologyPoint {
     /// Cluster size (8 × scale).
     pub servers: usize,
@@ -53,23 +53,14 @@ pub struct TopologyPoint {
 }
 
 /// Serving-rate measurement across [`TOPOLOGIES`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EngineThroughput {
     /// One point per topology, in [`TOPOLOGIES`] order.
     pub points: Vec<TopologyPoint>,
 }
 
-/// Measure [`EngineThroughput`] — once per process and mode. `repro`
-/// reads it twice on a run that selects the `engine_throughput` experiment
-/// (the experiment table, then the `BENCH_repro.json` section); both report
-/// the one measurement.
+/// Measure [`EngineThroughput`].
 pub fn engine_throughput(quick: bool) -> EngineThroughput {
-    use std::sync::OnceLock;
-    static CACHE: [OnceLock<EngineThroughput>; 2] = [OnceLock::new(), OnceLock::new()];
-    CACHE[quick as usize].get_or_init(|| measure(quick)).clone()
-}
-
-fn measure(quick: bool) -> EngineThroughput {
     let points = TOPOLOGIES
         .iter()
         .map(|&(scale, _)| measure_point(scale, quick || scale > 1))
@@ -133,7 +124,8 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         result
             .metric(format!("requests_per_s_{n}srv"), p.requests_per_s)
             .metric(format!("events_per_s_{n}srv"), p.events_per_s)
-            .metric(format!("events_{n}srv"), p.events as f64);
+            .metric(format!("events_{n}srv"), p.events as f64)
+            .metric(format!("completions_{n}srv"), p.completions as f64);
     }
     result.table(format!(
         "serial engine on the chaos point, best of {REPS} runs, per-server \

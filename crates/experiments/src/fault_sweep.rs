@@ -378,6 +378,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         }
     }
     result.table(t.render());
+    journal_economics(&mut result);
     result.note(format!(
         "all fault draws derive from seed {seed}; identical seeds replay \
          bit-identical fault logs (rerun with --seed N for a new storyline)"
@@ -386,6 +387,52 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         result.note(format!("golden-diffable summary -> {}", path.display()));
     }
     result
+}
+
+/// Measure the journal's write overhead and replay speedup
+/// ([`crate::journal_runs::journal_bench`], which asserts the overhead
+/// budget) and record them as one table and the `journal_*` metrics.
+fn journal_economics(result: &mut ExperimentResult) {
+    let jb = crate::journal_runs::journal_bench();
+    let mut t = TextTable::new(vec![
+        "records",
+        "checkpoints",
+        "bytes",
+        "off s",
+        "on s",
+        "write overhead",
+        "budget",
+        "replay s",
+        "replay speedup",
+        "bit-identical",
+    ]);
+    t.row(vec![
+        jb.records.to_string(),
+        jb.checkpoints.to_string(),
+        jb.journal_bytes.to_string(),
+        fnum(jb.baseline_wall_s, 3),
+        fnum(jb.journaled_wall_s, 3),
+        format!("{:.1}%", jb.write_overhead_pct),
+        format!("{:.0}%", jb.write_overhead_budget_pct),
+        fnum(jb.replay_wall_s, 3),
+        format!("{:.1}x", jb.replay_speedup),
+        jb.bit_identical.to_string(),
+    ]);
+    result.table(format!(
+        "journal economics on the full-length chaos point at a pinned seed: \
+         fastest journaling-off and journaling-on runs, write overhead of the \
+         quietest pair, replay by fold against re-simulation\n{}",
+        t.render()
+    ));
+    let flag = |b: bool| if b { 1.0 } else { 0.0 };
+    result
+        .metric("journal_bytes", jb.journal_bytes as f64)
+        .metric("journal_records", jb.records as f64)
+        .metric("journal_checkpoints", jb.checkpoints as f64)
+        .metric("journal_write_overhead_pct", jb.write_overhead_pct)
+        .metric("journal_within_budget", flag(jb.within_budget))
+        .metric("journal_replay_speedup", jb.replay_speedup)
+        .metric("journal_bit_identical", flag(jb.bit_identical));
 }
 
 #[cfg(test)]

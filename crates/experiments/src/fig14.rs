@@ -551,14 +551,19 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         tt.threads,
         t.render()
     ));
-    result
-        .metric("train_rows_per_s_reference", tt.reference_rows_per_s)
-        .metric("train_rows_per_s_kernel", tt.kernel_rows_per_s)
-        .metric("train_kernel_speedup", tt.kernel_speedup)
-        .metric(
-            "train_bit_identical",
-            if tt.bit_identical { 1.0 } else { 0.0 },
-        );
+    for (prefix, m) in [("train", &tt), ("train_irfr", &irfr)] {
+        result
+            .metric(
+                format!("{prefix}_rows_per_s_reference"),
+                m.reference_rows_per_s,
+            )
+            .metric(format!("{prefix}_rows_per_s_kernel"), m.kernel_rows_per_s)
+            .metric(format!("{prefix}_kernel_speedup"), m.kernel_speedup)
+            .metric(
+                format!("{prefix}_bit_identical"),
+                if m.bit_identical { 1.0 } else { 0.0 },
+            );
+    }
     result
         .metric("infer_ms", infer_ms)
         .metric("update_ms", update_ms)
@@ -611,7 +616,8 @@ mod tests {
     fn train_throughput_bit_identical_at_small_size() {
         // Small shape so the exhaustive reference stays fast in debug
         // builds; the full 1024 x 2580 x 16 comparison runs in the release
-        // repro binary (BENCH_repro.json) and the CI perf-smoke step.
+        // `repro fig14` (its `train_bit_identical` metric) and the CI
+        // perf-smoke step.
         let tt = train_throughput_sized(128, 96, 4);
         assert!(tt.bit_identical, "kernel must match reference bit-for-bit");
         assert!(tt.reference_rows_per_s.is_finite() && tt.reference_rows_per_s > 0.0);

@@ -1,6 +1,5 @@
 //! Journal-enabled runs: replay, verified resume, and the write-overhead /
-//! replay-speedup benchmark behind `BENCH_repro.json`'s `journal_replay`
-//! section.
+//! replay-speedup benchmark behind `fault_sweep`'s `journal_*` metrics.
 //!
 //! A journal's header records the *spec* of the run that wrote it —
 //! experiment id plus every parameter the run is deterministic in. That
@@ -8,7 +7,7 @@
 //!
 //! * **replay** ([`replay_bytes`]): fold the records back into the run's
 //!   artifacts ([`platform::replay()`]) without re-simulating — a linear scan,
-//!   orders of magnitude faster than the run itself.
+//!   about twice as fast as the run itself on the full-length chaos point.
 //! * **resume** ([`resume_bytes`]): given a *truncated* journal (torn tail
 //!   from a crash mid-run), rebuild the simulation from the header spec,
 //!   re-execute deterministically with an in-memory journal, and verify that
@@ -19,7 +18,7 @@
 //!   equivalent to byte-prefix equality of the record stream — the resumed
 //!   run *is* the uninterrupted run, bit for bit.
 //! * **bench** ([`journal_bench`]): measure journaling write overhead and
-//!   replay speedup on the quick-mode chaos point.
+//!   replay speedup on the full-length (300 s horizon) chaos point.
 
 use crate::fault_sweep::{chaos_run_scaled, ChaosOutcome, SweepPoint};
 use obs::journal::{
@@ -283,14 +282,14 @@ pub fn resume_bytes(bytes: &[u8]) -> Result<Resume, String> {
 }
 
 /// Write-overhead budget the journal must stay within, in percent of the
-/// journaling-off wall time. PR 5 promised "<10%" in prose; the benchmark
-/// now *asserts* it, so a regression fails every `repro` run (and the CI
-/// jobs that invoke one) instead of silently shipping a worse number.
+/// journaling-off wall time. The benchmark *asserts* it, so a regression
+/// fails every `repro` run that selects `fault_sweep` (and the CI jobs that
+/// invoke one) instead of silently shipping a worse number.
 pub const WRITE_OVERHEAD_BUDGET_PCT: f64 = 10.0;
 
-/// `journal_replay` section of `BENCH_repro.json`: journal size, write
-/// overhead versus a journaling-off run, and replay speedup versus
-/// re-simulation, all on the full-length (300 s horizon) chaos point at a
+/// Journal economics behind `fault_sweep`'s `journal_*` metrics: journal
+/// size, write overhead versus a journaling-off run, and replay speedup
+/// versus re-simulation, all on the full-length (300 s horizon) chaos point at a
 /// pinned seed — long enough to amortize per-run setup (simulation
 /// construction, journal header, buffer reservation) that dominated the
 /// quick point's tens-of-ms runs and inflated the measured overhead.

@@ -42,15 +42,6 @@ impl RunOpts {
         Self::default()
     }
 
-    /// Quick mode with observability on (no file export).
-    pub fn quick_observing() -> Self {
-        Self {
-            quick: true,
-            obs: true,
-            ..Self::default()
-        }
-    }
-
     /// Whether experiments should collect observability data at all.
     pub fn observing(&self) -> bool {
         self.obs || self.trace_dir.is_some()
@@ -277,7 +268,11 @@ mod tests {
     fn run_opts_modes() {
         assert!(!RunOpts::quick().observing());
         assert!(!RunOpts::full().quick);
-        let o = RunOpts::quick_observing();
+        let o = RunOpts {
+            quick: true,
+            obs: true,
+            ..RunOpts::default()
+        };
         assert!(o.observing() && !o.tracing());
         let t = RunOpts {
             quick: true,

@@ -19,8 +19,8 @@ use simcore::SimRng;
 ///
 /// Both produce bit-identical forests (pinned by `tests/train_kernel.rs`).
 /// This is the oracle's entry point: only [`RandomForest::fit_with`] takes
-/// it, for that equivalence and for the baseline of the fig. 14
-/// `train_throughput` comparison. The backend is recorded on the fitted
+/// it, for that equivalence and for the baseline of the `fig14`
+/// experiment's training-throughput comparison. The backend is recorded on the fitted
 /// forest so [`RandomForest::refresh_stalest`] keeps using it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrainBackend {

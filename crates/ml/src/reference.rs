@@ -3,9 +3,10 @@
 //! This is the original row-major implementation — re-sort the node's rows
 //! for every candidate feature, sweep, repeat — retained as the
 //! ground-truth oracle for the presorted kernel in [`crate::tree`]. The
-//! property tests (`tests/train_kernel.rs`) and the fig. 14
-//! `train_throughput` experiment both fit trees through this path and
-//! assert the kernel's output is bit-identical.
+//! property tests (`tests/train_kernel.rs`) and the `fig14` experiment's
+//! training-throughput measurement (its `train_*` and `train_irfr_*`
+//! metrics) both fit trees through this path and check the kernel's
+//! output is bit-identical.
 //!
 //! Two deliberate canonicalisations relative to the first version of the
 //! code, both order-defining rather than behaviour-changing:

@@ -64,6 +64,32 @@ fn fig14_quick_run_measures_overheads() {
     let joined = r.notes.join("\n");
     assert!(joined.contains("inference"), "notes: {joined}");
     assert!(joined.contains("instance starting"), "notes: {joined}");
+    // The metrics CI reads from `BENCH_repro.json`: a renamed or missing
+    // one fails here too, not only in CI.
+    let metric = |key: &str| -> f64 {
+        let v = r.metrics.iter().find(|(k, _)| k == key);
+        v.unwrap_or_else(|| panic!("fig14 has no metric {key}")).1
+    };
+    for key in [
+        "seq_rows_per_s",
+        "batch_rows_per_s",
+        "batch_speedup",
+        "train_rows_per_s_reference",
+        "train_rows_per_s_kernel",
+        "train_kernel_speedup",
+        "train_irfr_rows_per_s_reference",
+        "train_irfr_rows_per_s_kernel",
+        "train_irfr_kernel_speedup",
+    ] {
+        assert!(metric(key).is_finite() && metric(key) > 0.0, "{key}");
+    }
+    for key in [
+        "batch_bitwise_equal",
+        "train_bit_identical",
+        "train_irfr_bit_identical",
+    ] {
+        assert_eq!(metric(key), 1.0, "{key}");
+    }
 }
 
 #[test]
