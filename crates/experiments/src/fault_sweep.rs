@@ -401,6 +401,7 @@ fn journal_economics(result: &mut ExperimentResult) {
         "off s",
         "on s",
         "write overhead",
+        "median pair",
         "budget",
         "replay s",
         "replay speedup",
@@ -413,6 +414,7 @@ fn journal_economics(result: &mut ExperimentResult) {
         fnum(jb.baseline_wall_s, 3),
         fnum(jb.journaled_wall_s, 3),
         format!("{:.1}%", jb.write_overhead_pct),
+        format!("{:.1}%", jb.write_overhead_median_pct),
         format!("{:.0}%", jb.write_overhead_budget_pct),
         fnum(jb.replay_wall_s, 3),
         format!("{:.1}x", jb.replay_speedup),
@@ -421,7 +423,7 @@ fn journal_economics(result: &mut ExperimentResult) {
     result.table(format!(
         "journal economics on the full-length chaos point at a pinned seed: \
          fastest journaling-off and journaling-on runs, write overhead of the \
-         quietest pair, replay by fold against re-simulation\n{}",
+         quietest and of the median pair, replay by fold against re-simulation\n{}",
         t.render()
     ));
     let flag = |b: bool| if b { 1.0 } else { 0.0 };
@@ -430,6 +432,10 @@ fn journal_economics(result: &mut ExperimentResult) {
         .metric("journal_records", jb.records as f64)
         .metric("journal_checkpoints", jb.checkpoints as f64)
         .metric("journal_write_overhead_pct", jb.write_overhead_pct)
+        .metric(
+            "journal_write_overhead_median_pct",
+            jb.write_overhead_median_pct,
+        )
         .metric("journal_within_budget", flag(jb.within_budget))
         .metric("journal_replay_speedup", jb.replay_speedup)
         .metric("journal_bit_identical", flag(jb.bit_identical));

@@ -19,7 +19,9 @@ use obs::WallProfiler;
 use platform::config::GatewayConfig;
 use platform::scale::{PlacementDecision, Placer};
 use platform::{ArrivalSpec, Deployment, PlatformConfig, Simulation};
-use sched::overhead::PipelineProfile;
+use sched::overhead::{
+    OverheadBreakdown, STAGE_ALLOCATE, STAGE_DECIDE, STAGE_FORWARD, STAGE_START,
+};
 use sched::placer::{GsightPlacer, SlaSpec, WorkloadEntry};
 use simcore::rng::seed_stream;
 use simcore::table::{fnum, TextTable};
@@ -89,17 +91,6 @@ pub fn predictor_cost_profile(quick: bool) -> (WallProfiler, usize) {
     }
     let dim = p.feature_dim();
     (prof, dim)
-}
-
-/// Mean wall-clock inference and incremental-update cost of the predictor
-/// (see [`predictor_cost_profile`] for the full percentile profile).
-pub fn predictor_costs(quick: bool) -> (f64, f64, usize) {
-    let (prof, dim) = predictor_cost_profile(quick);
-    (
-        prof.mean_ms("predictor.predict"),
-        prof.mean_ms("predictor.partial_fit"),
-        dim,
-    )
 }
 
 /// Measured probe latency of the Gsight placer: drive a burst of scale-out
@@ -436,24 +427,19 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
     // Per-stage samples: simulated forwards, one decision per inference
     // (3 probes ≈ log2(8 servers) binary-search steps), constant cold start
     // and allocation bookkeeping.
-    let mut pipeline = PipelineProfile::new();
+    let mut pipeline = WallProfiler::new();
     for &ms in &low_fwd {
-        pipeline.forward_ms(ms);
+        pipeline.record_ms(STAGE_FORWARD, ms);
     }
     for &ms in prof.samples("predictor.predict") {
-        pipeline.decide_ms(ms * 3.0);
+        pipeline.record_ms(STAGE_DECIDE, ms * 3.0);
     }
-    pipeline.start_ms(cold_ms);
-    pipeline.allocate_ms(0.05);
+    pipeline.record_ms(STAGE_START, cold_ms);
+    pipeline.record_ms(STAGE_ALLOCATE, 0.05);
 
-    let breakdown = pipeline.breakdown();
+    let breakdown = OverheadBreakdown::from_profile(&pipeline);
     let mut t = TextTable::new(vec!["step", "ms", "fraction"]);
-    let names = [
-        "invocation forwarding",
-        "scheduling decision",
-        "instance starting",
-        "resource allocation",
-    ];
+    let names = [STAGE_FORWARD, STAGE_DECIDE, STAGE_START, STAGE_ALLOCATE];
     let vals = [
         breakdown.forwarding_ms,
         breakdown.decision_ms,
@@ -481,7 +467,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
     ));
     if let Some(path) = opts.write_artifact(
         "fig14_pipeline.profile.jsonl",
-        &format!("{}{}", pipeline.profiler().to_jsonl(), prof.to_jsonl()),
+        &format!("{}{}", pipeline.to_jsonl(), prof.to_jsonl()),
     ) {
         result.note(format!("stage profiles -> {}", path.display()));
     }
@@ -643,8 +629,12 @@ mod tests {
 
     #[test]
     fn predictor_costs_measurable() {
-        let (infer, update, dim) = predictor_costs(true);
+        let (prof, dim) = predictor_cost_profile(true);
         assert_eq!(dim, 2580);
+        assert_eq!(prof.count("predictor.predict"), 50);
+        assert_eq!(prof.count("predictor.partial_fit"), 5);
+        let infer = prof.mean_ms("predictor.predict");
+        let update = prof.mean_ms("predictor.partial_fit");
         assert!(infer.is_finite() && infer > 0.0);
         assert!(
             update > infer,

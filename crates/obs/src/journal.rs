@@ -31,11 +31,14 @@
 //! variant plus one row.
 //!
 //! Floats are stored as raw `f64` bits, so replayed artifacts are
-//! byte-identical to the live run's, not merely approximately equal. The
-//! ordering rules the format promises (append-only sequence numbers,
-//! monotone time, arrival-before-settlement, settle-at-most-once,
-//! hierarchy-consistent workload/node references) are mechanically checkable
-//! via [`check_invariants`] and enforced as property tests.
+//! byte-identical to the live run's, not merely approximately equal.
+//!
+//! Reading is one pass. [`JournalReader`] decodes the framing record by
+//! record and stops at the first torn or corrupt one. [`JournalMonitor`]
+//! checks the ordering rules the format promises (append-only sequence
+//! numbers, monotone time, arrival-before-settlement, settle-at-most-once,
+//! hierarchy-consistent workload/node references, checkpoint counters) one
+//! record at a time; [`check_invariants`] runs it over a decoded slice.
 
 use crate::json::Json;
 use std::any::Any;
@@ -671,316 +674,284 @@ pub struct ParsedJournal {
     pub header: Json,
     /// Decoded records in order.
     pub records: Vec<JournalRecord>,
-    /// Bytes consumed (magic + header + accepted records) — the verified
-    /// byte-prefix a resumed run must reproduce.
-    pub consumed: usize,
-    /// Why reading stopped early (tolerant mode only); `None` = clean end.
-    pub truncated: Option<String>,
 }
 
-fn read_inner(bytes: &[u8], tolerant: bool) -> Result<ParsedJournal, String> {
-    if bytes.len() < MAGIC.len() + 4 {
-        return Err("journal shorter than magic + header length".to_string());
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err("bad magic: not a GSJRNL01 journal".to_string());
-    }
-    let mut pos = MAGIC.len();
-    let header_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-    pos += 4;
-    if pos + header_len > bytes.len() {
-        return Err("journal header truncated".to_string());
-    }
-    let header_text = std::str::from_utf8(&bytes[pos..pos + header_len])
-        .map_err(|e| format!("header not UTF-8: {e}"))?;
-    let header = Json::parse(header_text).map_err(|e| format!("header not JSON: {e}"))?;
-    pos += header_len;
+/// Record-by-record decoder over a journal's bytes. It owns the framing
+/// only: magic, header, record length, CRC and payload decode. The
+/// ordering rules are [`JournalMonitor`]'s. Iteration yields each record
+/// and stops after the first `Err`, so a torn tail ends the stream with
+/// one error and everything before it is a verified prefix.
+pub struct JournalReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
 
-    let mut records = Vec::new();
-    let mut truncated = None;
-    let mut expect_seq = 0u64;
-    let mut last_at = 0u64;
-    while pos < bytes.len() {
-        let record_start = pos;
-        let fail = |msg: String| -> Result<(usize, JournalRecord), String> { Err(msg) };
-        let parsed = (|| {
-            if bytes.len() - pos < 4 + 8 + 8 {
-                return fail(format!("torn record header at byte {record_start}"));
-            }
-            let payload_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let seq = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-            let at_us = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().unwrap());
-            let body = pos + 20;
-            if bytes.len() - body < payload_len + 4 {
-                return fail(format!("torn record payload at byte {record_start}"));
-            }
-            let payload = &bytes[body..body + payload_len];
-            let stored_crc = u32::from_le_bytes(
-                bytes[body + payload_len..body + payload_len + 4]
-                    .try_into()
-                    .unwrap(),
-            );
-            // seq ‖ at ‖ payload are contiguous: one pass, as the writer does.
-            if crc32(&bytes[pos + 4..body + payload_len]) != stored_crc {
-                return fail(format!("CRC mismatch at record seq {seq}"));
-            }
-            if seq != expect_seq {
-                return fail(format!("sequence gap: expected {expect_seq}, found {seq}"));
-            }
-            if at_us < last_at {
-                return fail(format!(
-                    "time went backwards at seq {seq}: {at_us} < {last_at}"
-                ));
-            }
-            let event = JournalEvent::decode(payload)
-                .map_err(|e| format!("bad payload at seq {seq}: {e}"))?;
-            Ok((body + payload_len + 4, JournalRecord { seq, at_us, event }))
-        })();
-        match parsed {
-            Ok((next, rec)) => {
-                expect_seq += 1;
-                last_at = rec.at_us;
-                records.push(rec);
-                pos = next;
-            }
-            Err(msg) if tolerant => {
-                truncated = Some(msg);
-                pos = record_start;
-                break;
-            }
-            Err(msg) => return Err(msg),
+impl<'a> JournalReader<'a> {
+    /// Check the magic, parse the header, and return it with a reader
+    /// positioned at the first record.
+    pub fn new(bytes: &'a [u8]) -> Result<(Json, Self), String> {
+        if bytes.len() < MAGIC.len() + 4 {
+            return Err("journal shorter than magic + header length".to_string());
         }
+        if &bytes[..MAGIC.len()] != MAGIC {
+            return Err("bad magic: not a GSJRNL01 journal".to_string());
+        }
+        let mut pos = MAGIC.len();
+        let header_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 4;
+        if pos + header_len > bytes.len() {
+            return Err("journal header truncated".to_string());
+        }
+        let header_text = std::str::from_utf8(&bytes[pos..pos + header_len])
+            .map_err(|e| format!("header not UTF-8: {e}"))?;
+        let header = Json::parse(header_text).map_err(|e| format!("header not JSON: {e}"))?;
+        pos += header_len;
+        Ok((header, Self { bytes, pos }))
     }
-    Ok(ParsedJournal {
-        header,
-        records,
-        consumed: pos,
-        truncated,
-    })
+
+    fn frame(&self) -> Result<(usize, JournalRecord), String> {
+        let (bytes, pos) = (self.bytes, self.pos);
+        if bytes.len() - pos < 4 + 8 + 8 {
+            return Err(format!("torn record header at byte {pos}"));
+        }
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let payload_len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let (seq, at_us) = (word(pos + 4), word(pos + 12));
+        let body = pos + 20;
+        if bytes.len() - body < payload_len + 4 {
+            return Err(format!("torn record payload at byte {pos}"));
+        }
+        let end = body + payload_len;
+        let stored_crc = u32::from_le_bytes(bytes[end..end + 4].try_into().unwrap());
+        // seq ‖ at ‖ payload are contiguous: one pass, as the writer does.
+        if crc32(&bytes[pos + 4..end]) != stored_crc {
+            return Err(format!("CRC mismatch at record seq {seq}"));
+        }
+        let event = JournalEvent::decode(&bytes[body..end])
+            .map_err(|e| format!("bad payload at seq {seq}: {e}"))?;
+        Ok((end + 4, JournalRecord { seq, at_us, event }))
+    }
 }
 
-/// Strict read: any torn tail, checksum failure or ordering violation is an
-/// error. Use for replay, where the journal claims to be complete.
+impl Iterator for JournalReader<'_> {
+    type Item = Result<JournalRecord, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos == self.bytes.len() {
+            return None;
+        }
+        Some(match self.frame() {
+            Ok((next, rec)) => {
+                self.pos = next;
+                Ok(rec)
+            }
+            Err(e) => {
+                self.pos = self.bytes.len();
+                Err(e)
+            }
+        })
+    }
+}
+
+/// Decode a whole journal: its header and every record. Any torn tail,
+/// checksum failure or undecodable payload is an error. Ordering is not
+/// checked here; see [`check_invariants`].
 pub fn read_journal(bytes: &[u8]) -> Result<ParsedJournal, String> {
-    read_inner(bytes, false)
-}
-
-/// Tolerant read: stops at the first torn/corrupt record and reports it in
-/// [`ParsedJournal::truncated`]. Use for resume, where the journal is
-/// expected to end mid-write.
-pub fn read_journal_tolerant(bytes: &[u8]) -> Result<ParsedJournal, String> {
-    read_inner(bytes, true)
+    let (header, reader) = JournalReader::new(bytes)?;
+    let mut records = Vec::new();
+    for rec in reader {
+        records.push(rec?);
+    }
+    Ok(ParsedJournal { header, records })
 }
 
 // ---- ordering invariants ----------------------------------------------------
 
-/// Check the TLA-derived ordering invariants over a decoded journal and
-/// return every violation found (empty = journal is well-formed):
+/// The journal's ordering rules, checked one record at a time. Feed every
+/// record, in order, to [`JournalMonitor::observe`] of a default monitor;
+/// [`JournalMonitor::finish`] returns every violation found (empty = the
+/// journal is well-formed):
 ///
 /// 1. append-only: sequence numbers gapless from 0, time non-decreasing;
-/// 2. hierarchy-consistent references: every `wl` was deployed first, every
-///    `node` is within that workload's call graph;
+/// 2. hierarchy-consistent references: every `wl` was deployed first, in
+///    order, and every `node` is within that workload's call graph;
 /// 3. span start before end: a request's `Arrival` precedes every other
 ///    event that names it;
 /// 4. settled at most once: at most one of `Shed`/`Completed`/`Failed` per
 ///    request, and no `ColdStart`/`TaskDone`/`Retry` after it (stale
 ///    `GatewayForward`s of aborted attempts are legal and excluded);
-/// 5. checkpoints and `RunEnd` carry timestamps consistent with the record
-///    header.
-pub fn check_invariants(records: &[JournalRecord]) -> Vec<String> {
-    use std::collections::HashMap;
+/// 5. checkpoints and `RunEnd` carry the record header's timestamp;
+/// 6. a checkpoint's counters agree with the records before it:
+///    `requests_created` equals the `Arrival`s so far, `requests_settled`
+///    the settlements so far, and no more instances are alive than the
+///    table holds.
+#[derive(Debug, Default)]
+pub struct JournalMonitor {
+    records: u64,
+    last_at: u64,
+    /// Nodes per deployed workload, in deploy order.
+    deploys: Vec<u32>,
+    /// Request → (workload, settled).
+    requests: std::collections::HashMap<u64, (u32, bool)>,
+    arrivals: u64,
+    settlements: u64,
+    violations: Vec<String>,
+}
 
-    fn check_wl(
-        deploys: &[u32],
-        violations: &mut Vec<String>,
-        seq: u64,
-        wl: u32,
-        node: Option<u32>,
-    ) {
-        match deploys.get(wl as usize) {
-            None => violations.push(format!(
+impl JournalMonitor {
+    fn check_wl(&mut self, seq: u64, wl: u32, node: Option<u32>) {
+        match self.deploys.get(wl as usize) {
+            None => self.violations.push(format!(
                 "seq {seq}: references workload {wl} before its Deploy"
             )),
             Some(&nodes) => {
-                if let Some(node) = node {
-                    if node >= nodes {
-                        violations.push(format!(
-                            "seq {seq}: node {node} out of range for workload {wl} ({nodes} nodes)"
-                        ));
-                    }
+                if let Some(node) = node.filter(|&n| n >= nodes) {
+                    self.violations.push(format!(
+                        "seq {seq}: node {node} out of range for workload {wl} ({nodes} nodes)"
+                    ));
                 }
             }
         }
     }
 
-    let mut violations = Vec::new();
-    let mut deploys: Vec<u32> = Vec::new(); // nodes per workload
-                                            // req -> (wl, settled)
-    let mut requests: HashMap<u64, (u32, bool)> = HashMap::new();
-    let mut last_at = 0u64;
-    for (i, rec) in records.iter().enumerate() {
-        if rec.seq != i as u64 {
-            violations.push(format!("seq gap: record {i} has seq {}", rec.seq));
-        }
-        if rec.at_us < last_at {
-            violations.push(format!(
-                "time regressed at seq {}: {} < {last_at}",
-                rec.seq, rec.at_us
+    /// A request event must come after its Arrival, carry the Arrival's
+    /// workload, and precede its settlement; `settles` marks it settled.
+    fn check_req(&mut self, seq: u64, wl: u32, req: u64, settles: bool) {
+        let Some(state) = self.requests.get_mut(&req) else {
+            self.violations.push(before_arrival(seq, req));
+            return;
+        };
+        let (wl0, settled) = *state;
+        state.1 |= settles;
+        if wl != wl0 {
+            self.violations.push(format!(
+                "seq {seq}: request {req} workload changed {wl0} -> {wl}"
             ));
         }
-        last_at = rec.at_us;
-
-        // A request event must come after its Arrival, carry the Arrival's
-        // workload, and (unless `allow_after_settle`) precede settlement.
-        macro_rules! check_req {
-            ($wl:expr, $req:expr, $settles:expr, $allow_after_settle:expr) => {{
-                match requests.get_mut(&$req) {
-                    None => violations.push(format!(
-                        "seq {}: request {} event before its Arrival",
-                        rec.seq, $req
-                    )),
-                    Some((wl0, settled)) => {
-                        if let Some(wl) = $wl {
-                            if wl != *wl0 {
-                                violations.push(format!(
-                                    "seq {}: request {} workload changed {} -> {}",
-                                    rec.seq, $req, wl0, wl
-                                ));
-                            }
-                        }
-                        if *settled && !$allow_after_settle {
-                            violations.push(format!(
-                                "seq {}: request {} event after settlement",
-                                rec.seq, $req
-                            ));
-                        }
-                        if $settles {
-                            *settled = true;
-                        }
-                    }
-                }
-            }};
+        if settled {
+            self.violations
+                .push(format!("seq {seq}: request {req} event after settlement"));
         }
+    }
 
+    /// Check one record against everything observed before it.
+    pub fn observe(&mut self, rec: &JournalRecord) {
+        let seq = rec.seq;
+        if seq != self.records {
+            self.violations
+                .push(format!("seq gap: record {} has seq {seq}", self.records));
+        }
+        self.records += 1;
+        if rec.at_us < self.last_at {
+            self.violations.push(format!(
+                "time regressed at seq {seq}: {} < {}",
+                rec.at_us, self.last_at
+            ));
+        }
+        self.last_at = rec.at_us;
         match &rec.event {
             JournalEvent::Deploy { wl, nodes, .. } => {
-                if *wl as usize != deploys.len() {
-                    violations.push(format!(
-                        "seq {}: Deploy wl {wl} out of order (expected {})",
-                        rec.seq,
-                        deploys.len()
+                if *wl as usize != self.deploys.len() {
+                    self.violations.push(format!(
+                        "seq {seq}: Deploy wl {wl} out of order (expected {})",
+                        self.deploys.len()
                     ));
                 }
-                deploys.push(*nodes);
+                self.deploys.push(*nodes);
             }
-            JournalEvent::Placement { wl, node, .. } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, Some(*node))
-            }
+            JournalEvent::Placement { wl, node, .. }
+            | JournalEvent::MetricSample { wl, node, .. } => self.check_wl(seq, *wl, Some(*node)),
             JournalEvent::Arrival { wl, req } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, None);
-                if requests.insert(*req, (*wl, false)).is_some() {
-                    violations.push(format!(
-                        "seq {}: duplicate Arrival for request {req}",
-                        rec.seq
-                    ));
+                self.check_wl(seq, *wl, None);
+                self.arrivals += 1;
+                if self.requests.insert(*req, (*wl, false)).is_some() {
+                    self.violations
+                        .push(format!("seq {seq}: duplicate Arrival for request {req}"));
                 }
-            }
-            JournalEvent::Shed { wl, req } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, None);
-                check_req!(Some(*wl), *req, true, false);
             }
             // Stale forwards of aborted attempts are delivered (and their
             // latency recorded) after the request settled — legal.
             JournalEvent::GatewayForward { req, .. } => {
-                check_req!(None::<u32>, *req, false, true)
+                if !self.requests.contains_key(req) {
+                    self.violations.push(before_arrival(seq, *req));
+                }
             }
-            JournalEvent::ColdStart { wl, node, req } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, Some(*node));
-                check_req!(Some(*wl), *req, false, false);
-            }
-            JournalEvent::TaskDone { wl, node, req, .. } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, Some(*node));
-                check_req!(Some(*wl), *req, false, false);
-            }
-            JournalEvent::Completed { wl, req, .. } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, None);
-                check_req!(Some(*wl), *req, true, false);
+            JournalEvent::ColdStart { wl, node, req }
+            | JournalEvent::TaskDone { wl, node, req, .. } => {
+                self.check_wl(seq, *wl, Some(*node));
+                self.check_req(seq, *wl, *req, false);
             }
             JournalEvent::Retry { wl, req, .. } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, None);
-                check_req!(Some(*wl), *req, false, false);
+                self.check_wl(seq, *wl, None);
+                self.check_req(seq, *wl, *req, false);
             }
-            JournalEvent::Failed { wl, req, .. } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, None);
-                check_req!(Some(*wl), *req, true, false);
+            JournalEvent::Shed { wl, req }
+            | JournalEvent::Completed { wl, req, .. }
+            | JournalEvent::Failed { wl, req, .. } => {
+                self.check_wl(seq, *wl, None);
+                self.settlements += 1;
+                self.check_req(seq, *wl, *req, true);
             }
-            JournalEvent::MetricSample { wl, node, .. } => {
-                check_wl(&deploys, &mut violations, rec.seq, *wl, Some(*node))
-            }
-            JournalEvent::Utilization(_) => {}
-            JournalEvent::Fault { .. } => {}
-            JournalEvent::TelemetrySnapshot { .. } => {}
-            JournalEvent::Checkpoint(c) => {
-                if c.at_us != rec.at_us {
-                    violations.push(format!(
-                        "seq {}: checkpoint at_us {} disagrees with record header {}",
-                        rec.seq, c.at_us, rec.at_us
-                    ));
-                }
-            }
+            JournalEvent::Utilization(_)
+            | JournalEvent::Fault { .. }
+            | JournalEvent::TelemetrySnapshot { .. } => {}
+            JournalEvent::Checkpoint(c) => self.check_checkpoint(seq, rec.at_us, c),
             JournalEvent::RunEnd { horizon_us } => {
                 if *horizon_us != rec.at_us {
-                    violations.push(format!(
-                        "seq {}: RunEnd horizon {} disagrees with record time {}",
-                        rec.seq, horizon_us, rec.at_us
+                    self.violations.push(format!(
+                        "seq {seq}: RunEnd horizon {horizon_us} disagrees with record time {}",
+                        rec.at_us
                     ));
                 }
             }
         }
     }
-    violations
+
+    fn check_checkpoint(&mut self, seq: u64, at_us: u64, c: &CheckpointState) {
+        if c.at_us != at_us {
+            self.violations.push(format!(
+                "seq {seq}: checkpoint at_us {} disagrees with record header {at_us}",
+                c.at_us
+            ));
+        }
+        if c.requests_created != self.arrivals {
+            self.violations.push(format!(
+                "seq {seq}: checkpoint counts {} requests created, the journal {} arrivals",
+                c.requests_created, self.arrivals
+            ));
+        }
+        if c.requests_settled != self.settlements {
+            self.violations.push(format!(
+                "seq {seq}: checkpoint counts {} requests settled, the journal {} settlements",
+                c.requests_settled, self.settlements
+            ));
+        }
+        if c.instances_alive > c.instances_total {
+            self.violations.push(format!(
+                "seq {seq}: {} instances alive of {} in the table",
+                c.instances_alive, c.instances_total
+            ));
+        }
+    }
+
+    /// Every violation observed, in record order.
+    pub fn finish(self) -> Vec<String> {
+        self.violations
+    }
 }
 
-/// Checkpoint counters against the records journaled before them. Returns
-/// human-readable violations (empty = consistent):
-///
-/// * `requests_created` equals the `Arrival`s so far and `requests_settled`
-///   the settlements (`Shed`/`Completed`/`Failed`) so far, so every request
-///   is counted exactly once as settled or still open;
-/// * `instances_alive <= instances_total`.
-pub fn checkpoint_violations(records: &[JournalRecord]) -> Vec<String> {
-    let mut violations = Vec::new();
-    let (mut arrivals, mut settled) = (0u64, 0u64);
+fn before_arrival(seq: u64, req: u64) -> String {
+    format!("seq {seq}: request {req} event before its Arrival")
+}
+
+/// [`JournalMonitor`] over a decoded journal: every violation of the
+/// ordering rules and checkpoint counters (empty = well-formed).
+pub fn check_invariants(records: &[JournalRecord]) -> Vec<String> {
+    let mut monitor = JournalMonitor::default();
     for rec in records {
-        match &rec.event {
-            JournalEvent::Arrival { .. } => arrivals += 1,
-            JournalEvent::Shed { .. }
-            | JournalEvent::Completed { .. }
-            | JournalEvent::Failed { .. } => settled += 1,
-            JournalEvent::Checkpoint(c) => {
-                if c.requests_created != arrivals {
-                    violations.push(format!(
-                        "seq {}: checkpoint counts {} requests created, the journal {arrivals} arrivals",
-                        rec.seq, c.requests_created
-                    ));
-                }
-                if c.requests_settled != settled {
-                    violations.push(format!(
-                        "seq {}: checkpoint counts {} requests settled, the journal {settled} settlements",
-                        rec.seq, c.requests_settled
-                    ));
-                }
-                if c.instances_alive > c.instances_total {
-                    violations.push(format!(
-                        "seq {}: {} instances alive of {} in the table",
-                        rec.seq, c.instances_alive, c.instances_total
-                    ));
-                }
-            }
-            _ => {}
-        }
+        monitor.observe(rec);
     }
-    violations
+    monitor.finish()
 }
 
 #[cfg(test)]
@@ -1054,9 +1025,9 @@ mod tests {
                     instances_total: 12,
                     instances_alive: 11,
                     instance_table_fp: 0xABCD,
-                    tasks_created: 40,
-                    requests_created: 20,
-                    requests_settled: 19,
+                    tasks_created: 1,
+                    requests_created: 1,
+                    requests_settled: 1,
                 })),
             ),
             (
@@ -1212,8 +1183,8 @@ mod tests {
     }
 
     /// `read_journal` holds every decoded record at once, so a record's
-    /// size is the replay's memory per event: a new wide variant must be
-    /// boxed like `Utilization` and `Checkpoint`.
+    /// size is its memory per event: a new wide variant must be boxed like
+    /// `Utilization` and `Checkpoint`.
     #[test]
     fn decoded_record_stays_small() {
         assert!(std::mem::size_of::<JournalRecord>() <= 56);
@@ -1290,13 +1261,16 @@ mod tests {
         let parsed = read_journal(&bytes).unwrap();
         assert_eq!(parsed.header.get("seed").unwrap().as_f64(), Some(42.0));
         assert_eq!(parsed.records.len(), sample_events().len());
-        assert_eq!(parsed.consumed, bytes.len());
-        assert!(parsed.truncated.is_none());
         for (rec, (at, ev)) in parsed.records.iter().zip(sample_events()) {
             assert_eq!(rec.at_us, at);
             assert_eq!(rec.event, ev);
         }
         assert_eq!(parsed.records[3].seq, 3);
+        // The reader yields the same records one at a time.
+        let (header, reader) = JournalReader::new(&bytes).unwrap();
+        assert_eq!(header, parsed.header);
+        let streamed: Vec<_> = reader.map(Result::unwrap).collect();
+        assert_eq!(streamed, parsed.records);
     }
 
     #[test]
@@ -1345,25 +1319,27 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_read_stops_at_torn_tail() {
+    fn reader_stops_at_torn_tail() {
         let bytes = write_sample();
         let n = sample_events().len();
         // Cut mid-record: drop the last 3 bytes of the final record's CRC.
         let cut = &bytes[..bytes.len() - 3];
-        assert!(read_journal(cut).is_err(), "strict read must reject");
-        let parsed = read_journal_tolerant(cut).unwrap();
-        assert_eq!(parsed.records.len(), n - 1);
-        assert!(parsed.truncated.is_some());
-        // The consumed prefix is exactly the bytes of the accepted records.
-        assert!(bytes.starts_with(&cut[..parsed.consumed]));
-        // Strict read of the consumed prefix succeeds.
-        assert_eq!(
-            read_journal(&bytes[..parsed.consumed])
-                .unwrap()
-                .records
-                .len(),
-            n - 1
-        );
+        assert!(read_journal(cut).is_err(), "a torn tail is not a journal");
+        let (_, reader) = JournalReader::new(cut).unwrap();
+        let items: Vec<_> = reader.collect();
+        // Every whole record, then one error, then nothing.
+        assert_eq!(items.len(), n);
+        assert!(items[..n - 1].iter().all(Result::is_ok));
+        let err = items[n - 1].as_ref().unwrap_err();
+        assert!(err.contains("torn record payload"), "{err}");
+        // A corrupt record in the middle ends the stream there too.
+        let mut bytes = bytes;
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        let (_, reader) = JournalReader::new(&bytes).unwrap();
+        let items: Vec<_> = reader.collect();
+        assert!(items.len() < n, "{} items", items.len());
+        assert!(items.last().unwrap().is_err());
     }
 
     #[test]
@@ -1371,7 +1347,7 @@ mod tests {
         let mut bytes = write_sample();
         bytes[0] = b'X';
         assert!(read_journal(&bytes).is_err());
-        assert!(read_journal_tolerant(&bytes).is_err());
+        assert!(JournalReader::new(&bytes).is_err());
     }
 
     #[test]
@@ -1585,7 +1561,6 @@ mod tests {
     fn checkpoint_counts_consistent_with_the_journal_pass() {
         let records = checkpointed(|_| {});
         assert_eq!(check_invariants(&records), Vec::<String>::new());
-        assert_eq!(checkpoint_violations(&records), Vec::<String>::new());
         // The written and re-read form checks the same.
         let mut j = MemoryJournal::in_memory(&Json::obj(), None);
         for r in &records {
@@ -1593,20 +1568,61 @@ mod tests {
         }
         j.finish();
         let parsed = read_journal(j.bytes()).unwrap();
-        assert_eq!(checkpoint_violations(&parsed.records), Vec::<String>::new());
+        assert_eq!(parsed.records, records);
+        assert_eq!(check_invariants(&parsed.records), Vec::<String>::new());
     }
 
     #[test]
     fn checkpoint_counts_catch_miscounted_requests_and_instances() {
         // A checkpoint that counts a request the journal never saw arrive.
-        let v = checkpoint_violations(&checkpointed(|c| c.requests_created = 4));
-        assert!(v.iter().any(|m| m.contains("requests created")), "{v:?}");
+        let v = check_invariants(&checkpointed(|c| c.requests_created = 4));
+        assert_eq!(
+            v,
+            ["seq 8: checkpoint counts 4 requests created, the journal 3 arrivals"]
+        );
         // One that still counts a settled request as open.
-        let v = checkpoint_violations(&checkpointed(|c| c.requests_settled = 2));
+        let v = check_invariants(&checkpointed(|c| c.requests_settled = 2));
         assert!(v.iter().any(|m| m.contains("requests settled")), "{v:?}");
         // More instances alive than the table holds.
-        let v = checkpoint_violations(&checkpointed(|c| c.instances_alive = 5));
+        let v = check_invariants(&checkpointed(|c| c.instances_alive = 5));
         assert!(v.iter().any(|m| m.contains("instances alive")), "{v:?}");
         assert_eq!(v.len(), 1, "{v:?}");
+    }
+
+    /// One record framed by hand, so a test can write what the writer
+    /// refuses to: a sequence gap or time running backwards.
+    fn frame(seq: u64, at_us: u64, event: &JournalEvent) -> Vec<u8> {
+        let mut body = seq.to_le_bytes().to_vec();
+        body.extend_from_slice(&at_us.to_le_bytes());
+        event.encode_into(&mut body);
+        let mut out = ((body.len() - 16) as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn reader_frames_only_and_the_monitor_orders() {
+        let deploy = JournalEvent::Deploy {
+            wl: 0,
+            nodes: 1,
+            name: "w".into(),
+        };
+        let mut bytes = MemoryJournal::in_memory(&Json::obj(), None)
+            .bytes()
+            .to_vec();
+        bytes.extend(frame(0, 50, &deploy));
+        bytes.extend(frame(2, 10, &JournalEvent::Arrival { wl: 0, req: 0 }));
+        // CRC-valid frames decode whatever their order...
+        let records = read_journal(&bytes).unwrap().records;
+        assert_eq!(records.len(), 2);
+        // ...and the monitor names both ordering faults of the second one.
+        assert_eq!(
+            check_invariants(&records),
+            [
+                "seq gap: record 1 has seq 2",
+                "time regressed at seq 2: 10 < 50"
+            ]
+        );
     }
 }

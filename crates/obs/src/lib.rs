@@ -12,7 +12,7 @@
 //!   Perfetto and `chrome://tracing` load directly.
 //! * `telemetry` ([`telemetry`]) — a registry of named counters, gauges and
 //!   log-bucket histograms (queue depth, cold starts, autoscaler actions,
-//!   contention recomputes, SLA violations, …) dumped as JSONL or CSV.
+//!   contention recomputes, SLA violations, …) dumped as JSONL.
 //! * `faults` ([`faultlog`]) — every injected fault and every recovery or
 //!   degradation action, in event order.
 //! * `journal` ([`journal`]) — the append-only binary event WAL that
@@ -21,9 +21,9 @@
 //! Two facilities live outside the bundle, on the scheduler side:
 //!
 //! * [`profile`] — *wall-clock* stage profiling ([`WallProfiler`]) with
-//!   percentile summaries on top of `simcore::stats`. `sched::overhead`
-//!   and `GsightPlacer`'s probe profiler record into it, and the Fig. 14
-//!   overhead study reports it.
+//!   percentile summaries on top of `simcore::stats`. The Fig. 14
+//!   pipeline stages and `GsightPlacer`'s probe profiler record into it,
+//!   and the Fig. 14 overhead study reports it.
 //! * [`audit`] — the scheduler audit log ([`AuditLog`]): one record per
 //!   placement decision with every candidate spread the binary search
 //!   evaluated, its predicted QoS, the SLA verdict, and the chosen

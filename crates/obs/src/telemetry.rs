@@ -8,8 +8,7 @@
 //! moments; histograms add a deterministic log-spaced bucket array for
 //! percentile queries (no RNG, unlike `simcore::stats::Reservoir`, so
 //! recording a metric can never perturb a seeded simulation). Everything
-//! exports as JSONL (one metric per line) or CSV via the shared summary
-//! schema.
+//! exports as JSONL, one metric per line.
 
 use crate::json::Json;
 use simcore::stats::OnlineStats;
@@ -289,37 +288,6 @@ impl Telemetry {
         }
         out
     }
-
-    /// CSV with a fixed header; fields that do not apply to a kind are
-    /// left empty.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,kind,value,count,mean,p50,p95,p99,min,max\n");
-        for (name, metric) in self.iter() {
-            let line = match metric {
-                Metric::Counter(c) => format!("{name},counter,{c},,,,,,,"),
-                Metric::Gauge { last, stats } => format!(
-                    "{name},gauge,{last},{},{},,,,{},{}",
-                    stats.count(),
-                    stats.mean(),
-                    stats.min(),
-                    stats.max()
-                ),
-                Metric::Histogram(h) => format!(
-                    "{name},histogram,,{},{},{},{},{},{},{}",
-                    h.count(),
-                    h.stats.mean(),
-                    h.quantile(0.50),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                    h.stats.min(),
-                    h.stats.max()
-                ),
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -369,28 +337,17 @@ mod tests {
     #[test]
     fn jsonl_one_line_per_metric() {
         let mut t = Telemetry::new();
-        t.incr("a", 1);
+        t.incr("a", 7);
         t.gauge("b", 2.0);
         t.observe("c", 3.0);
         let jsonl = t.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
-        for line in lines {
+        for line in &lines {
             let v = crate::json::Json::parse(line).unwrap();
             assert!(v.get("name").is_some() && v.get("kind").is_some());
         }
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut t = Telemetry::new();
-        t.incr("a", 7);
-        t.observe("lat", 12.0);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("name,kind"));
-        assert!(lines[1].starts_with("a,counter,7"));
+        assert_eq!(lines[0], r#"{"name":"a","kind":"counter","value":7}"#);
     }
 
     #[test]
@@ -468,7 +425,6 @@ mod tests {
         assert_eq!(by_name.by_addr.len(), UPDATES.len());
         assert_eq!(cached.names().count(), 7);
         assert_eq!(cached.to_jsonl(), by_name.to_jsonl());
-        assert_eq!(cached.to_csv(), by_name.to_csv());
         assert_eq!(cached.counter("contention.recomputes"), 5);
         assert_eq!(cached.histogram("gateway.forward_ms").unwrap().count(), 3);
     }
@@ -486,7 +442,6 @@ mod tests {
         t.observe("h", 2.0);
         assert_eq!(t.names().collect::<Vec<_>>(), ["h", "n"]);
         assert_eq!(t.to_jsonl().lines().count(), 2);
-        assert_eq!(t.to_csv().lines().count(), 3);
     }
 
     #[test]

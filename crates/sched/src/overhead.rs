@@ -8,9 +8,9 @@
 //! call) while instance starting dominates.
 
 use obs::WallProfiler;
-use simcore::stats::Summary;
 
-/// Stage names for [`PipelineProfile`], matching the paper's four steps.
+/// Stage names under which the pipeline's samples are recorded into a
+/// [`WallProfiler`], matching the paper's four steps.
 pub const STAGE_FORWARD: &str = "invocation forwarding";
 /// Scheduling decision making (predictor probes of the binary search).
 pub const STAGE_DECIDE: &str = "scheduling decision";
@@ -38,6 +38,17 @@ impl OverheadBreakdown {
         self.forwarding_ms + self.decision_ms + self.instance_start_ms + self.allocation_ms
     }
 
+    /// Mean-per-stage breakdown of a profile recorded under the `STAGE_*`
+    /// names (0 for a stage with no samples).
+    pub fn from_profile(profile: &WallProfiler) -> Self {
+        Self {
+            forwarding_ms: profile.mean_ms(STAGE_FORWARD),
+            decision_ms: profile.mean_ms(STAGE_DECIDE),
+            instance_start_ms: profile.mean_ms(STAGE_START),
+            allocation_ms: profile.mean_ms(STAGE_ALLOCATE),
+        }
+    }
+
     /// Fractions per step (same order as the fields); NaNs when total is 0.
     pub fn fractions(&self) -> [f64; 4] {
         let t = self.total_ms();
@@ -47,69 +58,6 @@ impl OverheadBreakdown {
             self.instance_start_ms / t,
             self.allocation_ms / t,
         ]
-    }
-}
-
-/// Per-stage sample store for the scheduling pipeline, keeping *every*
-/// sample so the Fig. 14 breakdown can report percentiles, not just means.
-///
-/// [`OverheadBreakdown`] summarises one number per stage; this wraps an
-/// [`obs::WallProfiler`] with the four canonical stage names and converts
-/// between the two.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineProfile {
-    profiler: WallProfiler,
-}
-
-impl PipelineProfile {
-    /// Empty profile.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a forwarding sample (ms).
-    pub fn forward_ms(&mut self, ms: f64) {
-        self.profiler.record_ms(STAGE_FORWARD, ms);
-    }
-
-    /// Record a decision-making sample (ms).
-    pub fn decide_ms(&mut self, ms: f64) {
-        self.profiler.record_ms(STAGE_DECIDE, ms);
-    }
-
-    /// Record an instance-starting sample (ms).
-    pub fn start_ms(&mut self, ms: f64) {
-        self.profiler.record_ms(STAGE_START, ms);
-    }
-
-    /// Record a resource-allocation sample (ms).
-    pub fn allocate_ms(&mut self, ms: f64) {
-        self.profiler.record_ms(STAGE_ALLOCATE, ms);
-    }
-
-    /// Percentile summary of one stage (see the `STAGE_*` constants).
-    pub fn summary(&self, stage: &str) -> Option<Summary> {
-        self.profiler.summary(stage)
-    }
-
-    /// Mean-per-stage breakdown in the classic Fig. 14 shape.
-    pub fn breakdown(&self) -> OverheadBreakdown {
-        OverheadBreakdown {
-            forwarding_ms: self.profiler.mean_ms(STAGE_FORWARD),
-            decision_ms: self.profiler.mean_ms(STAGE_DECIDE),
-            instance_start_ms: self.profiler.mean_ms(STAGE_START),
-            allocation_ms: self.profiler.mean_ms(STAGE_ALLOCATE),
-        }
-    }
-
-    /// Text table of per-stage percentiles.
-    pub fn render_table(&self) -> String {
-        self.profiler.render_table()
-    }
-
-    /// The underlying profiler (for JSONL export).
-    pub fn profiler(&self) -> &WallProfiler {
-        &self.profiler
     }
 }
 
@@ -133,14 +81,14 @@ mod tests {
 
     #[test]
     fn pipeline_profile_breakdown_and_percentiles() {
-        let mut p = PipelineProfile::new();
+        let mut p = WallProfiler::new();
         for i in 1..=10 {
-            p.forward_ms(i as f64);
-            p.decide_ms(2.0 * i as f64);
+            p.record_ms(STAGE_FORWARD, i as f64);
+            p.record_ms(STAGE_DECIDE, 2.0 * i as f64);
         }
-        p.start_ms(400.0);
-        p.allocate_ms(0.05);
-        let b = p.breakdown();
+        p.record_ms(STAGE_START, 400.0);
+        p.record_ms(STAGE_ALLOCATE, 0.05);
+        let b = OverheadBreakdown::from_profile(&p);
         assert!((b.forwarding_ms - 5.5).abs() < 1e-12);
         assert!((b.decision_ms - 11.0).abs() < 1e-12);
         assert_eq!(b.instance_start_ms, 400.0);

@@ -126,7 +126,7 @@ fn main() {
 
     // ---- 3. telemetry registry ----
     let telemetry = obs.telemetry.as_ref().expect("telemetry");
-    println!("\ntelemetry (CSV dump):\n{}", telemetry.to_csv());
+    print!("\ntelemetry (JSONL):\n{}", telemetry.to_jsonl());
 
     // ---- 4. optional Chrome trace export ----
     match out_path {

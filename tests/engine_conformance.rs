@@ -19,7 +19,7 @@ use experiments::journal_runs::{
     fault_sweep_spec, journaled_chaos_run, output_digest, replay_bytes, rerun_from_header,
     resume_bytes, truncate_bytes, CHECKPOINT_EVERY_US,
 };
-use obs::journal::{checkpoint_violations, read_journal, JournalEvent, JournalSink, MemoryJournal};
+use obs::journal::{check_invariants, read_journal, JournalEvent, JournalSink, MemoryJournal};
 
 const QUICK: bool = true;
 const FAULTS_OFF: SweepPoint = SweepPoint {
@@ -169,7 +169,7 @@ fn checkpoints_partition_the_cluster_and_sum_to_journal_totals() {
     let run = journaled_chaos_run(FAULTS_ON, 7, QUICK, 1);
     let out = &run.outcome;
     let records = read_journal(&run.bytes).expect("strict parse").records;
-    let violations = checkpoint_violations(&records);
+    let violations = check_invariants(&records);
     assert!(
         violations.is_empty(),
         "checkpoint inconsistencies:\n  {}",
